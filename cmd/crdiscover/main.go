@@ -13,6 +13,7 @@
 //	crdiscover -target nginx -cache-dir ~/.cache/crashresist
 //	crdiscover -target ie -profile top       # ranked virtual-cost hot spots
 //	crdiscover -target ie -profile folded    # flamegraph.pl input
+//	crdiscover -target ie -cpuprofile cpu.out # go tool pprof cpu.out
 package main
 
 import (
@@ -49,6 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out cliflags.Output
 		prf cliflags.Profiling
 		det cliflags.Detection
+		cpu cliflags.CPUProfile
 	)
 	var (
 		target    = fs.String("target", "nginx", "nginx|cherokee|lighttpd|memcached|postgresql|ie|firefox|all|gen|gen-<i>")
@@ -62,6 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	out.Register(fs)
 	prf.Register(fs)
 	det.Register(fs)
+	cpu.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -92,7 +95,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// charges accumulate while the analysis runs.
 		reg.SetProfile(prf.Profile())
 	}
-	finish := func() error { return finishObservability(stderr, reg, an.Trace, *serveAddr != "") }
+	// The CPU profile covers the analysis and the report, not the idle
+	// serving that may follow.
+	stopCPU, err := cpu.Start()
+	if err != nil {
+		return err
+	}
+	defer stopCPU()
+	finish := func() error {
+		if err := stopCPU(); err != nil {
+			return err
+		}
+		return finishObservability(stderr, reg, an.Trace, *serveAddr != "")
+	}
 	if *serveAddr != "" {
 		ln, err := net.Listen("tcp", *serveAddr)
 		if err != nil {

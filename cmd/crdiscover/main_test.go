@@ -150,3 +150,31 @@ func TestProfileFlag(t *testing.T) {
 		t.Error("unknown -profile value accepted")
 	}
 }
+
+// TestCPUProfileLeavesStdoutUnchanged checks that -cpuprofile writes a
+// pprof file and that the report bytes stay identical with it on.
+func TestCPUProfileLeavesStdoutUnchanged(t *testing.T) {
+	baseline, _, err := runString(t, "-target", "nginx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	profiled, _, err := runString(t, "-target", "nginx", "-cpuprofile", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled != baseline {
+		t.Error("stdout differs with -cpuprofile on")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pprof profiles are gzip-compressed protobufs.
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Errorf("-cpuprofile wrote %d bytes that are not a gzip stream", len(data))
+	}
+	if _, _, err := runString(t, "-target", "nginx", "-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.out")); err == nil {
+		t.Error("an unwritable -cpuprofile path should fail")
+	}
+}

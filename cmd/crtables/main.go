@@ -7,6 +7,7 @@
 //	crtables -table 3 -workers 8   # parallel SEH pipeline
 //	crtables -table all -format json > eval.json
 //	crtables -table 3 -metrics     # run stats on stderr
+//	crtables -table 3 -cpuprofile cpu.out  # go tool pprof cpu.out
 //
 // Tables: 1 (syscall candidates), funnel (§V-B API funnel), 2 (guarded code
 // locations), 3 (unique exception filters), prior (§VII-A rediscovery),
@@ -35,6 +36,7 @@ func main() {
 		out cliflags.Output
 		prf cliflags.Profiling
 		det cliflags.Detection
+		cpu cliflags.CPUProfile
 	)
 	table := flag.String("table", "all", "which artifact: 1, funnel, 2, 3, prior, rate, all")
 	an.RegisterScale(flag.CommandLine, "paper")
@@ -44,6 +46,7 @@ func main() {
 	out.Register(flag.CommandLine)
 	prf.Register(flag.CommandLine)
 	det.Register(flag.CommandLine)
+	cpu.Register(flag.CommandLine)
 	flag.Parse()
 
 	cfg := config{
@@ -71,7 +74,16 @@ func main() {
 		defer f.Close()
 		cfg.traceW = f
 	}
-	if err := emit(os.Stdout, cfg); err != nil {
+	stopCPU, err := cpu.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crtables:", err)
+		os.Exit(1)
+	}
+	err = emit(os.Stdout, cfg)
+	if serr := stopCPU(); err == nil {
+		err = serr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "crtables:", err)
 		os.Exit(1)
 	}

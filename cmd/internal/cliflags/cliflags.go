@@ -9,6 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"runtime/pprof"
 
 	"crashresist"
 )
@@ -205,6 +207,44 @@ func (d *Detection) Emit(w io.Writer) error {
 		return rep.WriteJSON(w)
 	}
 	return nil
+}
+
+// CPUProfile holds -cpuprofile. The profile is sampled CPU time in a file
+// of its own; it never reaches stdout, which stays byte-identical with it
+// on.
+type CPUProfile struct {
+	Path string
+}
+
+// Register adds -cpuprofile.
+func (c *CPUProfile) Register(fs *flag.FlagSet) {
+	fs.StringVar(&c.Path, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+}
+
+// Start begins CPU profiling when -cpuprofile is set. The returned stop
+// function ends profiling and closes the file; it is safe to call more
+// than once, and a no-op when the flag is unset.
+func (c *CPUProfile) Start() (stop func() error, err error) {
+	if c.Path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(c.Path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	stopped := false
+	return func() error {
+		if stopped {
+			return nil
+		}
+		stopped = true
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // Output groups the report-rendering flags.

@@ -208,6 +208,10 @@ type Module struct {
 	// either the virtual address of another module's export (code import)
 	// or an opaque native API handle (see NativeImportBit).
 	ImportAddrs []uint64
+
+	// end is Base+Image.Span(), fixed at Load so Contains is two
+	// compares on the per-instruction lookup paths.
+	end uint64
 }
 
 // NativeImportBit marks an ImportAddrs entry as a native API handle rather
@@ -219,9 +223,12 @@ const NativeImportBit = uint64(1) << 63
 // VA converts a flat image offset to a virtual address.
 func (m *Module) VA(off uint32) uint64 { return m.Base + uint64(off) }
 
+// End returns the first virtual address past the module's mapped span.
+func (m *Module) End() uint64 { return m.end }
+
 // Contains reports whether the virtual address falls inside the module.
 func (m *Module) Contains(addr uint64) bool {
-	return addr >= m.Base && addr < m.Base+m.Image.Span()
+	return addr >= m.Base && addr < m.end
 }
 
 // OffsetOf converts a virtual address inside the module to a flat offset.
@@ -256,7 +263,8 @@ func Load(as *mem.AddressSpace, alloc *mem.Allocator, img *Image, resolve Import
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	base, err := alloc.Alloc(img.Span(), mem.PermRW)
+	span := img.Span()
+	base, err := alloc.Alloc(span, mem.PermRW)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", img.Name, err)
 	}
@@ -286,7 +294,7 @@ func Load(as *mem.AddressSpace, alloc *mem.Allocator, img *Image, resolve Import
 		}
 	}
 
-	m := &Module{Image: img, Base: base}
+	m := &Module{Image: img, Base: base, end: base + span}
 	if len(img.Imports) > 0 {
 		if resolve == nil {
 			return nil, fmt.Errorf("load %s: image has imports but no resolver", img.Name)

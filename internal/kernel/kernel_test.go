@@ -2,6 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"crashresist/internal/asm"
@@ -503,32 +506,100 @@ func TestArgRewriterInvalidatesPointer(t *testing.T) {
 	}
 }
 
+// TestSpecsTableIComplete pins the EFAULT-capable rows: the 13 syscalls
+// of the paper's Table I plus the model's two extras, access and
+// epoll_ctl, which validate a pointer too but are not among the table's
+// rows.
 func TestSpecsTableIComplete(t *testing.T) {
-	// The EFAULT-capable subset must cover the 13 syscalls of Table I.
-	want := []string{
+	tableI := []string{
 		"chmod", "connect", "epoll_wait", "mkdir", "open", "read",
 		"recv", "recvfrom", "send", "sendmsg", "symlink", "unlink", "write",
 	}
-	capable := make(map[string]bool)
+	want := append([]string{"access", "epoll_ctl"}, tableI...)
+	sort.Strings(want)
+	var got []string
 	for _, s := range Specs() {
 		if s.CanEFAULT {
-			capable[s.Name] = true
+			got = append(got, s.Name)
+			if len(s.PtrArgs) == 0 {
+				t.Errorf("%s can return EFAULT but lists no pointer argument", s.Name)
+			}
+		} else if len(s.PtrArgs) != 0 {
+			t.Errorf("%s lists pointer arguments but cannot return EFAULT", s.Name)
 		}
 	}
-	for _, name := range want {
-		if !capable[name] {
-			t.Errorf("syscall %q missing from EFAULT-capable set", name)
-		}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("EFAULT-capable rows = %v, want %v", got, want)
 	}
 }
 
+// TestSpecFor checks the number-indexed lookup against the table rows for
+// every number up to 64: a hit returns exactly the row with that number,
+// and numbers without a row miss.
 func TestSpecFor(t *testing.T) {
 	s, ok := SpecFor(SysRead)
 	if !ok || s.Name != "read" || len(s.PtrArgs) != 1 {
 		t.Errorf("SpecFor(read) = %+v %v", s, ok)
 	}
-	if _, ok := SpecFor(9999); ok {
-		t.Error("SpecFor(9999) should miss")
+	for _, n := range []uint64{9999, ^uint64(0)} {
+		if _, ok := SpecFor(n); ok {
+			t.Errorf("SpecFor(%d) should miss", n)
+		}
+	}
+	rows := make(map[uint64]Spec)
+	for _, s := range Specs() {
+		if _, dup := rows[s.Num]; dup {
+			t.Fatalf("Specs() lists syscall %d twice", s.Num)
+		}
+		rows[s.Num] = s
+	}
+	if len(rows) != int(SysGetpid) {
+		t.Fatalf("Specs() has %d rows, want one for each of 1..%d", len(rows), SysGetpid)
+	}
+	for n := uint64(0); n <= 64; n++ {
+		got, ok := SpecFor(n)
+		want, wantOK := rows[n]
+		if ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Errorf("SpecFor(%d) = %+v %v, want %+v %v", n, got, ok, want, wantOK)
+		}
+	}
+}
+
+// TestSpecsReturnsCopies checks that writing through a Specs() result,
+// rows and PtrArgs alike, leaves the shared table untouched.
+func TestSpecsReturnsCopies(t *testing.T) {
+	// Snapshot with private PtrArgs, so the reference cannot alias the
+	// table even if Specs() did.
+	before := Specs()
+	for i := range before {
+		before[i].PtrArgs = slices.Clone(before[i].PtrArgs)
+	}
+	mutated := Specs()
+	for i := range mutated {
+		mutated[i].Name = "clobbered"
+		mutated[i].CanEFAULT = !mutated[i].CanEFAULT
+		for j := range mutated[i].PtrArgs {
+			mutated[i].PtrArgs[j].Index = 99
+		}
+		mutated[i].PtrArgs = append(mutated[i].PtrArgs, PtrArg{Index: 7})
+	}
+	for _, want := range before {
+		got, ok := SpecFor(want.Num)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("after mutating a Specs() copy, SpecFor(%d) = %+v %v, want %+v", want.Num, got, ok, want)
+		}
+	}
+	if after := Specs(); !reflect.DeepEqual(after, before) {
+		t.Errorf("Specs() changed after mutating an earlier copy:\n got: %+v\nwant: %+v", after, before)
+	}
+}
+
+func BenchmarkSpecFor(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, ok := SpecFor(SysRecvfrom); !ok {
+			b.Fatal("recvfrom missing")
+		}
 	}
 }
 

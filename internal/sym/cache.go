@@ -34,7 +34,9 @@ import (
 //
 // A Cache is safe for concurrent use; worker executors in the parallel
 // SEH pipeline share one. Two workers racing on the same body both run
-// the analysis and store identical reports, so last-write-wins is benign.
+// the analysis and store identical reports, so the first store wins and
+// the second is counted as a hit: Misses counts distinct stored bodies
+// and Hits every other pure analysis, whatever the worker schedule.
 type Cache struct {
 	mu          sync.Mutex
 	m           map[cacheKey]*Report
@@ -55,9 +57,12 @@ func NewCache() *Cache {
 
 // CacheStats reports cache effectiveness counters.
 type CacheStats struct {
-	// Hits counts analyses answered from the cache.
+	// Hits counts pure analyses whose body was already stored: answered
+	// from the cache, or run concurrently with the analysis that stored
+	// it first.
 	Hits int
-	// Misses counts analyses executed and stored.
+	// Misses counts distinct bodies stored: the first pure analysis of
+	// each.
 	Misses int
 	// Uncacheable counts analyses executed but not stored, either because
 	// the filter has no sized function symbol or because the run was
@@ -85,6 +90,10 @@ func (c *Cache) lookup(k cacheKey) (*Report, bool) {
 func (c *Cache) store(k cacheKey, rep *Report) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.m[k]; ok {
+		c.hits++
+		return
+	}
 	c.m[k] = rep
 	c.misses++
 }

@@ -69,9 +69,13 @@ type Recorder struct {
 
 	// Guarded-region coverage.
 	coverage  bool
-	covIndex  []covModule
+	covIndex  map[*bin.Module]*covModule
 	scopeHits map[ScopeKey]uint64
-	lastMod   int // cache for PC locality
+	// lastLo, lastHi and lastMod cache the most recently resolved module
+	// for PC locality: its span and its scope index (nil when it has no
+	// scope table).
+	lastLo, lastHi uint64
+	lastMod        *covModule
 
 	// Exception log.
 	recordExceptions bool
@@ -240,7 +244,8 @@ func (r *Recorder) stackInContext(t *vm.Thread) bool {
 }
 
 func (r *Recorder) buildCoverageIndex() {
-	r.covIndex = r.covIndex[:0]
+	r.covIndex = make(map[*bin.Module]*covModule)
+	r.lastLo, r.lastHi, r.lastMod = 0, 0, nil
 	for _, m := range r.proc.Modules() {
 		scopes := m.Image.Scopes
 		if len(scopes) == 0 {
@@ -253,7 +258,7 @@ func (r *Recorder) buildCoverageIndex() {
 		sort.Slice(order, func(a, b int) bool {
 			return scopes[order[a]].Begin < scopes[order[b]].Begin
 		})
-		r.covIndex = append(r.covIndex, covModule{mod: m, order: order})
+		r.covIndex[m] = &covModule{mod: m, order: order}
 	}
 }
 
@@ -262,23 +267,19 @@ func (r *Recorder) recordCoverage(pc uint64) {
 	if len(r.covIndex) == 0 {
 		return
 	}
-	// Check the cached module first (strong PC locality).
-	mi := -1
-	if r.lastMod < len(r.covIndex) && r.covIndex[r.lastMod].mod.Contains(pc) {
-		mi = r.lastMod
-	} else {
-		for i := range r.covIndex {
-			if r.covIndex[i].mod.Contains(pc) {
-				mi = i
-				r.lastMod = i
-				break
-			}
+	// Check the cached module first (strong PC locality); on a miss the
+	// process's address index resolves the module.
+	if pc < r.lastLo || pc >= r.lastHi {
+		m, ok := r.proc.FindModule(pc)
+		if !ok {
+			return
 		}
+		r.lastLo, r.lastHi, r.lastMod = m.Base, m.End(), r.covIndex[m]
 	}
-	if mi < 0 {
+	cm := r.lastMod
+	if cm == nil {
 		return
 	}
-	cm := &r.covIndex[mi]
 	scopes := cm.mod.Image.Scopes
 	off := cm.mod.OffsetOf(pc)
 

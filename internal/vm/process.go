@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"crashresist/internal/bin"
 	"crashresist/internal/faultinject"
@@ -78,6 +79,11 @@ type Process struct {
 	stackSize  uint64
 	rrIndex    int
 	veh        []uint64
+
+	// modIndex holds one entry per non-empty module, sorted by base, so
+	// FindModule is a binary search. Modules never overlap: each spans
+	// part of its own allocator mapping.
+	modIndex []modSpan
 }
 
 // AddVEHandler registers a vectored exception handler (Windows model): the
@@ -92,6 +98,14 @@ func (p *Process) VEHandlers() []uint64 {
 	out := make([]uint64, len(p.veh))
 	copy(out, p.veh)
 	return out
+}
+
+// modSpan is one modIndex entry: the module's [base, end) and its position
+// in modules. It carries no pointers, so inserting into a large index is a
+// plain memmove without write barriers.
+type modSpan struct {
+	base, end uint64
+	pos       int
 }
 
 // NewProcess creates an empty process with a fresh address space.
@@ -147,6 +161,10 @@ func (p *Process) LoadImage(img *bin.Image) (*bin.Module, error) {
 	if err != nil {
 		return nil, err
 	}
+	if mod.End() > mod.Base {
+		i := p.indexAbove(mod.Base)
+		p.modIndex = slices.Insert(p.modIndex, i, modSpan{base: mod.Base, end: mod.End(), pos: len(p.modules)})
+	}
 	p.modules = append(p.modules, mod)
 	p.modsByName[img.Name] = mod
 	return mod, nil
@@ -167,12 +185,27 @@ func (p *Process) Module(name string) (*bin.Module, bool) {
 
 // FindModule returns the module containing the virtual address.
 func (p *Process) FindModule(addr uint64) (*bin.Module, bool) {
-	for _, m := range p.modules {
-		if m.Contains(addr) {
-			return m, true
+	i := p.indexAbove(addr)
+	if i == 0 || addr >= p.modIndex[i-1].end {
+		return nil, false
+	}
+	return p.modules[p.modIndex[i-1].pos], true
+}
+
+// indexAbove returns the position of the first modIndex entry whose base
+// lies above addr; the only module that can contain addr sits just before
+// it.
+func (p *Process) indexAbove(addr uint64) int {
+	lo, hi := 0, len(p.modIndex)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.modIndex[mid].base <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return nil, false
+	return lo
 }
 
 // SymbolAt resolves an address to "module!symbol+off" for diagnostics.
