@@ -10,6 +10,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
+	cd crbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) build ./...

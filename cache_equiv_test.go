@@ -10,6 +10,7 @@ package crashresist
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -425,5 +426,76 @@ func TestCacheSurvivesCorpusPermutations(t *testing.T) {
 		if rep.Stats.Counter(CtrCacheHits) == 0 {
 			t.Errorf("workers=%d run over a warm dir never hit", workers)
 		}
+	}
+}
+
+// TestCacheStatesObserveSameStats pins the per-unit observation contract:
+// a unit served from the persistent cache must emit exactly what its cold
+// compute emitted. Each pipeline runs cache-off, cold and warm with a
+// fresh detection observer; after dropping wall times, shard splits, spans
+// and the cache's own counters (cache_* and the in-memory symex cache's
+// symex_cache_*), the counters, stage job counts, latency histograms,
+// fault-event series and detect section must be deep-equal.
+func TestCacheStatesObserveSameStats(t *testing.T) {
+	comparable := func(st *RunStats) *RunStats {
+		c := *st
+		c.WallNS = 0
+		c.Spans = nil
+		c.SpansDropped = 0
+		c.Counters = make(map[string]uint64, len(st.Counters))
+		for k, v := range st.Counters {
+			if !strings.HasPrefix(k, "cache_") && !strings.HasPrefix(k, "symex_cache_") {
+				c.Counters[k] = v
+			}
+		}
+		c.Stages = make([]StageStats, len(st.Stages))
+		for i, s := range st.Stages {
+			s.WallNS = 0
+			s.ShardTasks = nil
+			c.Stages[i] = s
+		}
+		return &c
+	}
+	for _, pl := range cachePipelines(t) {
+		pl := pl
+		t.Run(pl.name, func(t *testing.T) {
+			cache, err := OpenAnalysisCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var runs []*RunStats
+			for _, opts := range [][]Option{
+				{WithWorkers(2)},
+				{WithWorkers(2), WithCache(cache)},
+				{WithWorkers(2), WithCache(cache)},
+			} {
+				rep, err := pl.analyze(append(opts, WithDetect(NewDetect()))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, comparable(statsOf(t, rep)))
+			}
+			if runs[0].Detect == nil {
+				t.Fatal("cache-off run carries no detect section")
+			}
+			for i, state := range []string{"cold", "warm"} {
+				got := runs[i+1]
+				if !reflect.DeepEqual(got.Counters, runs[0].Counters) {
+					t.Errorf("%s counters %v, cache-off %v", state, got.Counters, runs[0].Counters)
+				}
+				if !reflect.DeepEqual(got.Stages, runs[0].Stages) {
+					t.Errorf("%s stages (jobs, latency) differ from cache-off", state)
+				}
+				if !reflect.DeepEqual(got.FaultEvents, runs[0].FaultEvents) {
+					t.Errorf("%s fault events %v, cache-off %v", state, got.FaultEvents, runs[0].FaultEvents)
+				}
+				if !reflect.DeepEqual(got.Detect, runs[0].Detect) {
+					t.Errorf("%s detect section differs from cache-off", state)
+				}
+				if !reflect.DeepEqual(got, runs[0]) {
+					t.Errorf("%s run stats differ from cache-off", state)
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -78,9 +77,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := an.Options(stderr, "crdiscover")
-	opts = append(opts, prf.Options()...)
-	opts = append(opts, det.Options()...)
+	req := an.Request(stderr, "crdiscover")
+	req.Pipeline, req.Target = *pipeline, *target
+	opts := append(prf.Options(), det.Options()...)
 
 	// Trace export and live serving both ride a metrics registry sink. The
 	// listener binds before the analysis so scrapes work while it runs.
@@ -114,16 +113,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stderr, "crdiscover: serving http://%s/metrics\n", ln.Addr())
-		go func() { _ = http.Serve(ln, reg.Handler()) }()
+		srv := cliflags.NewHTTPServer(reg.Handler())
+		defer srv.Close()
+		go func() { _ = srv.Serve(ln) }()
 	}
 
-	res, err := crashresist.Run(context.Background(), crashresist.Request{
-		Pipeline: *pipeline,
-		Target:   *target,
-		Scale:    an.Scale,
-		Seed:     an.Seed,
-		Options:  opts,
-	})
+	req.Options = opts
+	res, err := crashresist.Run(context.Background(), req)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -119,7 +118,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := cliflags.NewHTTPServer(reg.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	defer srv.Close()
@@ -161,7 +160,7 @@ func serveJobs(ctx context.Context, addr string, reg *metrics.Registry, cache *c
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := cliflags.NewHTTPServer(svc.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	defer srv.Close()

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -204,20 +205,13 @@ func emit(w io.Writer, cfg config) error {
 	}
 
 	want := func(name string) bool { return cfg.table == "all" || cfg.table == name }
-	opts := []crashresist.Option{crashresist.WithWorkers(cfg.workers)}
-	if cfg.cache != nil {
-		opts = append(opts, crashresist.WithCache(cfg.cache))
-	}
-	if cfg.chaosSeed != 0 {
-		opts = append(opts,
-			crashresist.WithFaultPlan(crashresist.DefaultFaultPlan(cfg.chaosSeed)),
-			crashresist.WithRetry(2))
-	}
-	if cfg.profile != nil {
-		opts = append(opts, crashresist.WithProfile(cfg.profile))
-	}
-	if cfg.detect != nil {
-		opts = append(opts, crashresist.WithDetect(cfg.detect))
+	// Every artifact runs through Run with the same settings; -chaos-seed
+	// rides Request.ChaosSeed, so Run alone derives its fault plan and
+	// retry budget.
+	analyze := func(req crashresist.Request) (*crashresist.Result, error) {
+		req.Seed, req.Workers, req.ChaosSeed = cfg.seed, cfg.workers, cfg.chaosSeed
+		req.Cache, req.Profile, req.Detect = cfg.cache, cfg.profile, cfg.detect
+		return crashresist.Run(context.Background(), req)
 	}
 
 	doc := document{Schema: crashresist.SchemaV1}
@@ -241,12 +235,12 @@ func emit(w io.Writer, cfg config) error {
 			}
 			servers = append(servers, gen...)
 		}
-		reports, err := crashresist.AnalyzeServers(servers, cfg.seed, opts...)
+		res, err := analyze(crashresist.Request{Servers: servers})
 		if err != nil {
 			return err
 		}
-		doc.TableI = reports
-		for _, rep := range reports {
+		doc.TableI = res.Servers
+		for _, rep := range res.Servers {
 			runs = append(runs, rep.Stats)
 		}
 	}
@@ -255,31 +249,31 @@ func emit(w io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		rep, err := crashresist.AnalyzeBrowserAPIs(br, cfg.seed, opts...)
+		res, err := analyze(crashresist.Request{Pipeline: crashresist.PipelineAPI, Browser: br})
 		if err != nil {
 			return err
 		}
-		doc.Funnel = rep
-		runs = append(runs, rep.Stats)
+		doc.Funnel = res.Funnel
+		runs = append(runs, res.Funnel.Stats)
 	}
 	if want("2") || want("3") {
 		br, err := crashresist.IE(params)
 		if err != nil {
 			return err
 		}
-		rep, err := crashresist.AnalyzeBrowserSEH(br, cfg.seed, opts...)
+		res, err := analyze(crashresist.Request{Pipeline: crashresist.PipelineSEH, Browser: br})
 		if err != nil {
 			return err
 		}
-		doc.SEH = rep
-		runs = append(runs, rep.Stats)
+		doc.SEH = res.SEH
+		runs = append(runs, res.SEH.Stats)
 	}
 	if want("prior") {
 		ie, err := crashresist.IE(params)
 		if err != nil {
 			return err
 		}
-		ieRep, err := crashresist.AnalyzeBrowserSEH(ie, cfg.seed, opts...)
+		ieRes, err := analyze(crashresist.Request{Pipeline: crashresist.PipelineSEH, Browser: ie})
 		if err != nil {
 			return err
 		}
@@ -287,10 +281,11 @@ func emit(w io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		ffRep, err := crashresist.AnalyzeBrowserSEH(ff, cfg.seed, opts...)
+		ffRes, err := analyze(crashresist.Request{Pipeline: crashresist.PipelineSEH, Browser: ff})
 		if err != nil {
 			return err
 		}
+		ieRep, ffRep := ieRes.SEH, ffRes.SEH
 		doc.Prior = &priorDoc{IE: crashresist.PriorWork(ieRep), Firefox: crashresist.PriorWork(ffRep)}
 		runs = append(runs, ieRep.Stats, ffRep.Stats)
 	}

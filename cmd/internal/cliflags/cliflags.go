@@ -9,8 +9,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"runtime/pprof"
+	"time"
 
 	"crashresist"
 )
@@ -67,20 +69,29 @@ func (a *Analysis) OpenCache(stderr io.Writer, tool string) *crashresist.Analysi
 	return c
 }
 
-// Options translates the parsed flags into library options: the worker
-// pool, the persistent cache (when -cache-dir opens), and — under
-// -chaos-seed — the default fault plan with two retries.
-func (a *Analysis) Options(stderr io.Writer, tool string) []crashresist.Option {
-	opts := []crashresist.Option{crashresist.WithWorkers(a.Workers)}
-	if c := a.OpenCache(stderr, tool); c != nil {
-		opts = append(opts, crashresist.WithCache(c))
+// Request translates the parsed flags into a library request: scale,
+// seed, worker pool, the persistent cache (when -cache-dir opens) and the
+// -chaos-seed, whose fault plan and retry budget Run derives.
+func (a *Analysis) Request(stderr io.Writer, tool string) crashresist.Request {
+	return crashresist.Request{
+		Scale:     a.Scale,
+		Seed:      a.Seed,
+		Workers:   a.Workers,
+		ChaosSeed: a.ChaosSeed,
+		Cache:     a.OpenCache(stderr, tool),
 	}
-	if a.ChaosSeed != 0 {
-		opts = append(opts,
-			crashresist.WithFaultPlan(crashresist.DefaultFaultPlan(a.ChaosSeed)),
-			crashresist.WithRetry(2))
+}
+
+// NewHTTPServer returns the server the CLIs expose their endpoints with.
+// Header reads and idle keep-alive connections are bounded so a stalled
+// client cannot pin a connection; there is deliberately no WriteTimeout,
+// because SSE event streams stay open for a job's whole run.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
-	return opts
 }
 
 // Profiling groups the exact-cost-profiler flags shared by the analysis

@@ -424,23 +424,12 @@ func GenServerProfiles(seed int64, n int) []GenServerProfile {
 	return targets.GenServerProfiles(seed, n)
 }
 
-// Option tunes an analysis run. All pipelines are deterministic for a
-// given seed: every option combination yields byte-identical reports.
-// Observability options (WithProgress, WithSink) never change report
-// contents — metrics live only in the report's Stats field.
-type Option func(*options)
-
-type options struct {
-	workers      int
-	progress     func(StageEvent)
-	sinks        []MetricSink
-	plan         *FaultPlan
-	retries      int
-	stageTimeout time.Duration
-	cache        *AnalysisCache
-	profile      *Profile
-	detect       *Detect
-}
+// Option tunes an analysis run by setting one field of the runtime all
+// three pipelines share. All pipelines are deterministic for a given seed:
+// every option combination yields byte-identical reports. Observability
+// options (WithProgress, WithSink) never change report contents — metrics
+// live only in the report's Stats field.
+type Option func(*discover.Runtime)
 
 // AnalysisCache is a persistent, content-addressed store for analysis
 // results (see internal/cas): per-DLL symex verdicts, fuzzing batteries,
@@ -465,16 +454,16 @@ func OpenAnalysisCache(dir string) (*AnalysisCache, error) { return cas.Open(dir
 // units. Caching never changes report bytes — only the cache_* counters in
 // the report's Stats. Runs with a fault plan bypass the cache entirely.
 func WithCache(c *AnalysisCache) Option {
-	return func(o *options) { o.cache = c }
+	return func(rt *discover.Runtime) { rt.Cache = c }
 }
 
 // WithCacheDir is WithCache over OpenAnalysisCache(dir), degrading silently
 // to an uncached run when the directory is unusable. CLIs that want to warn
 // on a bad directory open explicitly and use WithCache.
 func WithCacheDir(dir string) Option {
-	return func(o *options) {
+	return func(rt *discover.Runtime) {
 		if c, err := cas.Open(dir); err == nil {
-			o.cache = c
+			rt.Cache = c
 		}
 	}
 }
@@ -483,7 +472,7 @@ func WithCacheDir(dir string) Option {
 // the option) select GOMAXPROCS. The worker count affects wall-clock time
 // only, never report contents.
 func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
+	return func(rt *discover.Runtime) { rt.Workers = n }
 }
 
 // WithProgress installs a live progress callback receiving StageEvents as
@@ -491,13 +480,13 @@ func WithWorkers(n int) Option {
 // when AnalyzeServers interleaves events from parallel per-server runs —
 // so fn needs no locking of its own.
 func WithProgress(fn func(StageEvent)) Option {
-	return func(o *options) { o.progress = fn }
+	return func(rt *discover.Runtime) { rt.Progress = fn }
 }
 
 // WithSink attaches a metric sink receiving the run's live events and
 // final RunStats. May be given multiple times.
 func WithSink(s MetricSink) Option {
-	return func(o *options) { o.sinks = append(o.sinks, s) }
+	return func(rt *discover.Runtime) { rt.Sinks = append(rt.Sinks, s) }
 }
 
 // WithProfile attaches an exact cost profiler to the run. Every pipeline
@@ -507,7 +496,7 @@ func WithSink(s MetricSink) Option {
 // bytes — and for a fixed request the accumulated profile is identical at
 // any worker count and with any cache state.
 func WithProfile(p *Profile) Option {
-	return func(o *options) { o.profile = p }
+	return func(rt *discover.Runtime) { rt.Profile = p }
 }
 
 // WithDetect attaches a detection observer to the run. Every pipeline
@@ -518,7 +507,7 @@ func WithProfile(p *Profile) Option {
 // RunStats.Detect — and for a fixed request the section is identical at
 // any worker count and with any cache state.
 func WithDetect(d *Detect) Option {
-	return func(o *options) { o.detect = d }
+	return func(rt *discover.Runtime) { rt.Detect = d }
 }
 
 // WithFaultPlan attaches a deterministic fault injection plan to the run
@@ -527,7 +516,7 @@ func WithDetect(d *Detect) Option {
 // in the report's Degraded field instead of aborting. For a fixed plan
 // seed the degraded set is identical at every worker count.
 func WithFaultPlan(p *FaultPlan) Option {
-	return func(o *options) { o.plan = p }
+	return func(rt *discover.Runtime) { rt.FaultPlan = p }
 }
 
 // WithRetry bounds per-job re-runs after a transient failure (n retries
@@ -536,41 +525,33 @@ func WithFaultPlan(p *FaultPlan) Option {
 // Backoff between attempts is virtual: deterministic ticks are counted in
 // CtrBackoffTicks, no wall-clock sleeping happens.
 func WithRetry(n int) Option {
-	return func(o *options) { o.retries = n }
+	return func(rt *discover.Runtime) { rt.Retries = n }
 }
 
 // WithStageTimeout bounds each fanned-out pipeline stage; a stage that
 // exceeds d is cancelled and the analysis returns a context error. Zero
 // (and omitting the option) means no limit.
 func WithStageTimeout(d time.Duration) Option {
-	return func(o *options) { o.stageTimeout = d }
+	return func(rt *discover.Runtime) { rt.StageTimeout = d }
 }
 
-func buildOptions(opts []Option) options {
-	var o options
+// buildRuntime resolves an option list into the pipelines' shared runtime.
+func buildRuntime(seed int64, opts []Option) *discover.Runtime {
+	rt := &discover.Runtime{Seed: seed}
 	for _, opt := range opts {
-		opt(&o)
+		opt(rt)
 	}
-	if o.progress != nil {
+	if fn := rt.Progress; fn != nil {
 		// One analysis call may run several collectors concurrently
 		// (AnalyzeServers); serialize the user's callback across them.
 		var mu sync.Mutex
-		fn := o.progress
-		o.progress = func(ev StageEvent) {
+		rt.Progress = func(ev StageEvent) {
 			mu.Lock()
 			defer mu.Unlock()
 			fn(ev)
 		}
 	}
-	return o
-}
-
-func (o options) syscallAnalyzer(seed int64) *discover.SyscallAnalyzer {
-	return &discover.SyscallAnalyzer{
-		Seed: seed, Workers: o.workers, Progress: o.progress, Sinks: o.sinks,
-		FaultPlan: o.plan, Retries: o.retries, StageTimeout: o.stageTimeout,
-		Cache: o.cache, Profile: o.profile, Detect: o.detect,
-	}
+	return rt
 }
 
 // AnalyzeServer runs the Linux syscall pipeline against one server target.

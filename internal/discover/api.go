@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crashresist/internal/cas"
 	"crashresist/internal/defense"
-	"crashresist/internal/faultinject"
 	"crashresist/internal/fuzz"
 	"crashresist/internal/isa"
 	"crashresist/internal/metrics"
@@ -138,42 +136,11 @@ type APIFunnelReport struct {
 }
 
 // APIAnalyzer drives the Windows-API pipeline against a browser target.
-type APIAnalyzer struct {
-	Seed int64
-	// InvalidAddr overrides the corruption value.
-	InvalidAddr uint64
-	// Workers bounds the fuzzing and classification fan-out; <= 0 selects
-	// GOMAXPROCS.
-	Workers int
-	// Progress receives live stage events (corpus → fuzz → harvest →
-	// classify). Must be safe for concurrent use.
-	Progress func(metrics.StageEvent)
-	// Sinks receive the run's live events and final RunStats.
-	Sinks []metrics.Sink
-	// FaultPlan, when non-nil, injects deterministic failures into the
-	// harness processes, browse runs and pool-job sites (chaos mode).
-	FaultPlan *faultinject.Plan
-	// Retries bounds per-job re-runs after a transient failure; setting
-	// Retries (or FaultPlan) switches failed jobs from aborting the run
-	// to degrading into Report.Degraded.
-	Retries int
-	// StageTimeout bounds each fanned-out stage; zero means no limit.
-	StageTimeout time.Duration
-	// Cache, when non-nil, persists fuzzing batteries and classification
-	// verdicts across runs, keyed by content (see internal/cas). Ignored
-	// while a FaultPlan is attached: chaos runs must neither read nor
-	// write entries shared with clean runs.
-	Cache *cas.Cache
-	// Profile, when non-nil, receives the run's deterministic cost
-	// attribution (see internal/prof). Profiling never touches report
-	// contents.
-	Profile *prof.Profile
-	// Detect, when non-nil, receives the run's detection inputs: the
-	// instrumented browse as benign baseline and each crash-resistant
-	// API's fuzzing battery as a detectability row. Never touches report
-	// rows — the rendered section rides RunStats.
-	Detect *defense.Detect
-}
+// Its stages are corpus → fuzz → harvest → classify; the cache persists
+// fuzzing batteries and classification verdicts, and the detector sees
+// the instrumented browse as baseline and each crash-resistant API's
+// fuzzing battery as a primitive row.
+type APIAnalyzer Runtime
 
 // Analyze runs fuzzing, call-site harvesting, context filtering and
 // controllability classification. The fuzzing battery fans out across the
@@ -189,20 +156,9 @@ func (a *APIAnalyzer) Analyze(br *targets.Browser) (*APIFunnelReport, error) {
 // AnalyzeContext is Analyze with cancellation, checked between stages and
 // before each fuzzing or classification job.
 func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (*APIFunnelReport, error) {
-	invalid := a.InvalidAddr
-	if invalid == 0 {
-		invalid = InvalidProbeAddr
-	}
-	col := newRunCollector("api", br.Name, a.Workers, a.Progress, a.Sinks)
-	rp := newRunProf(a.Profile, "api", br.Name)
-	rd := newRunDetect(a.Detect, "api", br.Name)
-	res := newResilience(br.Name, a.FaultPlan, a.Retries, col, rp)
-	rc := runCache{col: col, rp: rp}
-	if a.FaultPlan == nil {
-		rc.c = a.Cache
-	}
+	r := newRun((*Runtime)(a), "api", br.Name)
 	var apiParams []byte
-	if rc.c != nil {
+	if r.Cache != nil {
 		apiParams = marshalAPIParams(br.Params.API)
 	}
 
@@ -212,14 +168,14 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 1: generate the API corpus and select the pointer-taking
 	// descriptors in registry order.
-	span := col.StartStage("corpus", 0)
+	span := r.col.StartStage("corpus", 0)
 	reg, err := winapi.GenerateCorpus(br.Params.API)
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	fz := fuzz.New(reg, a.Seed)
-	fz.FaultPlan = a.FaultPlan
+	fz := fuzz.New(reg, r.Seed)
+	fz.FaultPlan = r.FaultPlan
 	var ptrAPIs []*winapi.Descriptor
 	for _, d := range reg.All() {
 		if d.HasPointerArg() {
@@ -230,42 +186,23 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 2-3: black-box fuzzing of the corpus, sharded per descriptor.
 	results := make([]fuzz.FuncResult, len(ptrAPIs))
-	span = col.StartStage("fuzz", len(ptrAPIs))
+	span = r.col.StartStage("fuzz", len(ptrAPIs))
 	span.NameJobs(func(i int) string { return "fuzz/" + ptrAPIs[i].Name })
-	fctx, cancel := stageCtx(ctx, a.StageTimeout)
-	err = runIndexed(fctx, a.Workers, len(ptrAPIs), span, func(i int) error {
-		return res.run(fctx, "fuzz", ptrAPIs[i].Name, i, func(int) error {
-			var key cas.Key
-			haveKey := false
-			if rc.c != nil && apiParams != nil {
-				key = fuzzDescKey(apiParams, a.Seed, ptrAPIs[i])
-				haveKey = true
-				var ent apiFuzzEntry
-				if rc.get(casFamilyFuzz, key, &ent, "fuzz", ptrAPIs[i].Name) {
-					col.Add(metrics.CtrProbes, uint64(len(ent.Probes)))
-					harvestVMStats(col, ent.Stats)
-					span.Observe(ent.Stats.Instructions)
-					profileFuzz(rp, ptrAPIs[i].Name, ent)
-					detectFuzz(rd, ent)
-					results[i] = ent
-					return nil
-				}
-			}
-			fres, err := fz.FuzzOne(ptrAPIs[i])
+	fctx, cancel := r.stageCtx(ctx)
+	err = runIndexed(fctx, r.Workers, len(ptrAPIs), span, func(i int) error {
+		d := ptrAPIs[i]
+		return r.job(fctx, "fuzz", d.Name, i, func(int) error {
+			fres, err := cached(r, casFamilyFuzz, "fuzz", d.Name,
+				func() (cas.Key, bool) { return fuzzDescKey(apiParams, r.Seed, d), apiParams != nil },
+				func() (apiFuzzEntry, bool, error) {
+					fres, err := fz.FuzzOne(d)
+					return fres, true, err
+				})
 			if err != nil {
-				return fmt.Errorf("fuzz %s: %w", ptrAPIs[i].Name, err)
+				return fmt.Errorf("fuzz %s: %w", d.Name, err)
 			}
-			if haveKey {
-				rc.put(casFamilyFuzz, key, fres, "fuzz", ptrAPIs[i].Name)
-			}
-			col.Add(metrics.CtrProbes, uint64(len(fres.Probes)))
-			harvestVMStats(col, fres.Stats)
-			// The harness processes' summed instruction count is the
-			// job's deterministic cost.
-			span.Observe(fres.Stats.Instructions)
-			profileFuzz(rp, ptrAPIs[i].Name, fres)
-			detectFuzz(rd, fres)
 			results[i] = fres
+			r.emit(span, "fuzz", d.Name, fuzzUnit(&results[i]))
 			return nil
 		})
 	})
@@ -299,10 +236,10 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 4-5: instrumented browse — call-site harvesting and context
 	// tagging.
-	span = col.StartStage("harvest", 0)
+	span = r.col.StartStage("harvest", 0)
 	var obs *browseObservation
-	err = res.run(ctx, "harvest", br.Name, 0, func(int) error {
-		o, err := a.observeBrowse(br, col, span, rp, rd)
+	err = r.job(ctx, "harvest", br.Name, 0, func(int) error {
+		o, err := r.observeBrowse(br, span)
 		if err != nil {
 			return err
 		}
@@ -338,45 +275,28 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// Stage 6: pointer-argument controllability for the JS-context set,
 	// one corrupted-replay environment per API.
 	classifications := make([]APIClassification, len(report.JSContextAPIs))
-	span = col.StartStage("classify", len(report.JSContextAPIs))
+	span = r.col.StartStage("classify", len(report.JSContextAPIs))
 	span.NameJobs(func(i int) string { return "classify/" + report.JSContextAPIs[i] })
-	cctx, cancel2 := stageCtx(ctx, a.StageTimeout)
-	err = runIndexed(cctx, a.Workers, len(report.JSContextAPIs), span, func(i int) error {
+	cctx, cancel2 := r.stageCtx(ctx)
+	err = runIndexed(cctx, r.Workers, len(report.JSContextAPIs), span, func(i int) error {
 		api := report.JSContextAPIs[i]
-		return res.run(cctx, "classify", api, i, func(int) error {
-			var key cas.Key
-			haveKey := false
-			if rc.c != nil {
-				if digest, derr := br.ContentDigest(); derr == nil {
-					key = classifyKey(digest, a.Seed, invalid, api, obs.args[api])
-					haveKey = true
-					var ent classifyEntry
-					if rc.get(casFamilyClassify, key, &ent, "classify", api) {
-						span.Observe(ent.Cost.Clock)
-						if ent.Cost.HasEnv {
-							harvestVMStats(col, ent.Cost.Stats)
-						}
-						profileClassify(rp, api, ent.Cost)
-						classifications[i] = ent.Cls
-						return nil
-					}
-				}
-			}
-			cls, cost, err := a.classify(br, api, obs.args[api], invalid)
+		return r.job(cctx, "classify", api, i, func(int) error {
+			ent, err := cached(r, casFamilyClassify, "classify", api,
+				func() (cas.Key, bool) {
+					digest, err := br.ContentDigest()
+					return classifyKey(digest, r.Seed, InvalidProbeAddr, api, obs.args[api]), err == nil
+				},
+				func() (classifyEntry, bool, error) {
+					cls, cost, err := r.classify(br, api, obs.args[api])
+					return classifyEntry{Cls: cls, Cost: cost}, true, err
+				})
 			if err != nil {
 				return fmt.Errorf("classify %s: %w", api, err)
 			}
-			// The replay's virtual clock is the job's deterministic
-			// cost; statically-excluded APIs record zero.
-			span.Observe(cost.Clock)
-			if cost.HasEnv {
-				harvestVMStats(col, cost.Stats)
-			}
-			profileClassify(rp, api, cost)
-			if haveKey {
-				rc.put(casFamilyClassify, key, classifyEntry{Cls: cls, Cost: cost}, "classify", api)
-			}
-			classifications[i] = cls
+			// The replay's virtual clock is the job's deterministic cost;
+			// statically-excluded APIs record zero.
+			r.emit(span, "classify", api, ent.Cost.unit())
+			classifications[i] = ent.Cls
 			return nil
 		})
 	})
@@ -420,13 +340,10 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 		chain = append(chain, harvest, step("classify", cls.Reason.Token(), "%s", cls.Detail))
 		report.Provenance = append(report.Provenance, PrimitiveProvenance{Primitive: cls.API, Chain: chain})
 	}
-	report.Degraded = res.take()
-	rd.finish(col)
-	stats, err := col.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("flush metrics %s: %w", br.Name, err)
+	report.Degraded = r.degraded()
+	if report.Stats, err = r.finish(); err != nil {
+		return nil, err
 	}
-	report.Stats = stats
 	return report, nil
 }
 
@@ -489,63 +406,82 @@ func (a *apiArgTracer) stackInJS(t *vm.Thread) bool {
 	return false
 }
 
-// profileFuzz charges one API's fuzzing battery, one sub-frame per probe
-// pointer so flamegraphs break an API's cost down by battery entry.
-// Per-probe instruction counts are persisted in the cache entry, so cold
-// computes and warm replays charge identical stacks.
-func profileFuzz(rp runProf, api string, res fuzz.FuncResult) {
-	for _, pr := range res.Probes {
-		rp.addSub("fuzz", api, fmt.Sprintf("ptr:%#x", pr.Pointer), prof.KindVMInstructions, pr.Instructions)
-	}
-}
-
-// detectFuzz folds one crash-resistant API's fuzzing battery into its
-// detectability row: every battery probe is one oracle query, and every
-// ErrInvalidPointer return is a kernel-validated rejection — the Windows
+// fuzzUnit is one API's fuzzing-battery cost record. The harness
+// processes' summed instruction count is the job's latency sample, and the
+// profile gets one sub-frame per probe pointer so flamegraphs break an
+// API's cost down by battery entry. For a crash-resistant API the detector
+// row counts every battery probe as one oracle query and every
+// ErrInvalidPointer return as a kernel-validated rejection — the Windows
 // analogue of an EFAULT return, and exactly what a kernel-boundary
 // defender counts (crash-resistant APIs raise no user-mode fault). The
 // harness processes each start at virtual clock zero, so their rejections
-// land in the run stream's first virtual second. Inputs come from the
-// cache entry, so cold computes and warm replays fold identical rows.
-func detectFuzz(rd runDetect, res fuzz.FuncResult) {
-	if !rd.on() || !res.CrashResistant {
-		return
-	}
-	var faults uint64
-	for _, pr := range res.Probes {
-		if pr.Outcome == fuzz.OutcomeGraceful && pr.Ret == winapi.ErrInvalidPointer {
-			faults++
+// land in the run stream's first virtual second. Every input is persisted
+// in the cache entry.
+func fuzzUnit(res *fuzz.FuncResult) unitCost {
+	c := unitCost{latency: res.Stats.Instructions, vm: &res.Stats, probes: uint64(len(res.Probes)),
+		subs: func(charge func(unit, sub string, k prof.Kind, n uint64)) {
+			for _, pr := range res.Probes {
+				charge(res.Name, fmt.Sprintf("ptr:%#x", pr.Pointer), prof.KindVMInstructions, pr.Instructions)
+			}
+		}}
+	if res.CrashResistant {
+		c.detect = func(r *pipelineRun) {
+			var faults uint64
+			for _, pr := range res.Probes {
+				if pr.Outcome == fuzz.OutcomeGraceful && pr.Ret == winapi.ErrInvalidPointer {
+					faults++
+				}
+			}
+			var series map[uint64]uint64
+			if faults > 0 {
+				series = map[uint64]uint64{0: faults}
+			}
+			r.detectRow(res.Name, uint64(len(res.Probes)), faults, res.Stats.Instructions, nil, series)
 		}
 	}
-	rd.primitive(res.Name, uint64(len(res.Probes)), faults, res.Stats.Instructions, nil)
-	if faults > 0 {
-		rd.series(map[uint64]uint64{0: faults})
-	}
+	return c
 }
 
-// profileClassify charges one classification job's replay cost, identically
-// for cold computes and warm cache replays (the entry persists the cost).
-func profileClassify(rp runProf, api string, cost classifyCost) {
-	rp.add("classify", api, prof.KindClockTicks, cost.Clock)
-	if cost.HasEnv {
-		rp.add("classify", api, prof.KindVMInstructions, cost.Stats.Instructions)
+// unit is one classification job's cost record; statically-excluded APIs
+// ran no process and charge no VM counters.
+func (c classifyCost) unit() unitCost {
+	u := unitCost{latency: c.Clock, clock: c.Clock}
+	if c.HasEnv {
+		u.vm = &c.Stats
 	}
+	return u
+}
+
+// browseUnit is an instrumented browse's cost record. The browse is the
+// pipeline's benign baseline: the access violations the detector sees
+// while no one is probing.
+func browseUnit(p *vm.Process, rec *trace.Recorder) unitCost {
+	stats, clock := p.Stats, p.Clock
+	return unitCost{latency: clock, clock: clock, vm: &stats,
+		detect: func(r *pipelineRun) {
+			series := defense.BucketExc(rec.Exceptions())
+			var faults uint64
+			for _, n := range series {
+				faults += n
+			}
+			r.detectBaseline("browse", faults, clock, series)
+		}}
 }
 
 // observeBrowse runs one instrumented browse.
-func (a *APIAnalyzer) observeBrowse(br *targets.Browser, col *metrics.Collector, span *metrics.Stage, rp runProf, rd runDetect) (*browseObservation, error) {
-	env, err := br.NewEnv(a.Seed)
+func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*browseObservation, error) {
+	env, err := br.NewEnv(r.Seed)
 	if err != nil {
 		return nil, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
+	env.Proc.FaultPlan = r.FaultPlan
 	te := taint.New()
 	te.Attach(env.Proc)
 
 	rec := trace.NewRecorder()
 	rec.EnableAPIHarvest()
 	rec.AddContextModule("jscript9.dll")
-	if rd.on() {
+	if r.Detect != nil {
 		rec.EnableExceptionLog()
 	}
 
@@ -562,19 +498,7 @@ func (a *APIAnalyzer) observeBrowse(br *targets.Browser, col *metrics.Collector,
 		return nil, err
 	}
 	browseErr := env.Browse()
-	span.Observe(env.Proc.Clock)
-	harvestVMStats(col, env.Proc.Stats)
-	rp.add("harvest", "browse", prof.KindClockTicks, env.Proc.Clock)
-	rp.add("harvest", "browse", prof.KindVMInstructions, env.Proc.Stats.Instructions)
-	if rd.on() {
-		series := defense.BucketExc(rec.Exceptions())
-		var faults uint64
-		for _, n := range series {
-			faults += n
-		}
-		rd.baseline("browse", faults, env.Proc.Clock, series)
-		rd.series(series)
-	}
+	r.emit(span, "harvest", "browse", browseUnit(env.Proc, rec))
 	if browseErr != nil {
 		return nil, browseErr
 	}
@@ -585,7 +509,7 @@ func (a *APIAnalyzer) observeBrowse(br *targets.Browser, col *metrics.Collector,
 // (when a corruptible pointer exists) a corrupted replay. The returned cost
 // carries the replay's deterministic counters; the caller observes them, so
 // a cache hit can replay the identical observations.
-func (a *APIAnalyzer) classify(br *targets.Browser, api string, obs argObservation, invalid uint64) (APIClassification, classifyCost, error) {
+func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservation) (APIClassification, classifyCost, error) {
 	cls := APIClassification{API: api}
 	switch {
 	case obs.onStack:
@@ -601,16 +525,16 @@ func (a *APIAnalyzer) classify(br *targets.Browser, api string, obs argObservati
 
 	// Corrupted replay: rebuild the environment (same seed, same
 	// layout), corrupt the stored pointer, re-browse.
-	env, err := br.NewEnv(a.Seed)
+	env, err := br.NewEnv(r.Seed)
 	if err != nil {
 		return cls, classifyCost{}, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
+	env.Proc.FaultPlan = r.FaultPlan
 	cost := func() classifyCost {
 		return classifyCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, HasEnv: true}
 	}
 	te := taint.New()
-	cor := &corruptingFlow{inner: te, as: env.Proc.AS, target: obs.prov, value: invalid}
+	cor := &corruptingFlow{inner: te, as: env.Proc.AS, target: obs.prov, value: InvalidProbeAddr}
 	env.Proc.Flow = cor
 	cor.corrupt()
 	if err := env.Start(); err != nil {

@@ -5,10 +5,10 @@ package discover
 // bytes, seed, corruption address, candidate identity — so a changed byte
 // anywhere in the inputs invalidates exactly that unit and nothing else.
 // Entries store the result *and* its deterministic costs (virtual clock,
-// VM/kernel counters, symbolic steps), so a warm run replays the same
-// span.Observe and counter harvests a cold run performs: reports stay
-// byte-identical and latency histograms stay consistent whether a unit was
-// computed or served from disk.
+// VM/kernel counters, symbolic steps), so a warm unit emits the same cost
+// record (see runtime.go) its cold compute emitted: reports stay
+// byte-identical and run stats, profiles and detect sections agree whether
+// a unit was computed or served from disk.
 //
 // Three key families:
 //
@@ -52,47 +52,42 @@ const (
 	casFamilyValidate = "syscall-validate"
 )
 
-// runCache binds an optional persistent cache to one run's collector and
-// profile, mirroring every lookup into the run's cache_* counters and
-// charging entry byte traffic to the unit that owns the entry. The zero
-// value (nil cache) is a valid always-miss cache that counts nothing.
-type runCache struct {
-	c   *cas.Cache
-	col *metrics.Collector
-	rp  runProf
-}
-
-// get is Cache.Get plus per-run counter and profile accounting; stage and
-// unit attribute the transferred bytes. An entry read on a warm hit has
-// the same encoded size as the cold run's store of it, so per-unit cache
+// cached serves one unit from the run's persistent cache or computes it.
+// key runs only when the run has a cache; ok=false (no key derivable)
+// skips the cache for this unit. A fresh entry is published when compute
+// marks it storable. Lookups feed the run's cache_* counters, and entry
+// bytes are charged to the unit that owns the entry: a warm hit reads an
+// entry of the same encoded size the cold run stored, so per-unit cache
 // byte charges agree between cold and warm runs.
-func (r runCache) get(family string, key cas.Key, out any, stage, unit string) bool {
-	if r.c == nil {
-		return false
+func cached[E any](r *pipelineRun, family, stage, unit string, key func() (cas.Key, bool), compute func() (E, bool, error)) (E, error) {
+	var (
+		k  cas.Key
+		ok bool
+	)
+	if r.Cache != nil {
+		if k, ok = key(); ok {
+			var ent E
+			res := r.Cache.Get(family, k, &ent)
+			if res.Bad {
+				r.col.Add(metrics.CtrCacheBadEntries, 1)
+			}
+			if res.Hit {
+				r.col.Add(metrics.CtrCacheHits, 1)
+				r.col.Add(metrics.CtrCacheBytes, res.Bytes)
+				r.charge(stage, unit, "", prof.KindCacheBytes, res.Bytes)
+				return ent, nil
+			}
+			r.col.Add(metrics.CtrCacheMisses, 1)
+		}
 	}
-	res := r.c.Get(family, key, out)
-	if res.Hit {
-		r.col.Add(metrics.CtrCacheHits, 1)
-		r.col.Add(metrics.CtrCacheBytes, res.Bytes)
-		r.rp.add(stage, unit, prof.KindCacheBytes, res.Bytes)
-	} else {
-		r.col.Add(metrics.CtrCacheMisses, 1)
+	ent, store, err := compute()
+	if err == nil && ok && store {
+		if res := r.Cache.Put(family, k, ent); res.Stored {
+			r.col.Add(metrics.CtrCacheBytes, res.Bytes)
+			r.charge(stage, unit, "", prof.KindCacheBytes, res.Bytes)
+		}
 	}
-	if res.Bad {
-		r.col.Add(metrics.CtrCacheBadEntries, 1)
-	}
-	return res.Hit
-}
-
-// put is Cache.Put plus per-run counter and profile accounting.
-func (r runCache) put(family string, key cas.Key, v any, stage, unit string) {
-	if r.c == nil {
-		return
-	}
-	if res := r.c.Put(family, key, v); res.Stored {
-		r.col.Add(metrics.CtrCacheBytes, res.Bytes)
-		r.rp.add(stage, unit, prof.KindCacheBytes, res.Bytes)
-	}
+	return ent, err
 }
 
 // sehSymexEntry is the persisted form of one module's filter classification.
@@ -197,7 +192,8 @@ func classifyKey(digest []byte, seed int64, invalid uint64, api string, obs argO
 		Key()
 }
 
-// validateCost carries a validation replay's deterministic cost.
+// validateCost carries a suite run's deterministic cost: a validation
+// replay's (persisted in its entry) or the observation run's.
 type validateCost struct {
 	Clock  uint64        `json:"clock,omitempty"`
 	Stats  vm.Stats      `json:"stats,omitempty"`

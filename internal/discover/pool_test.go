@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crashresist/internal/metrics"
 	"crashresist/internal/targets"
 )
 
@@ -226,14 +227,16 @@ func TestSEHCacheEffective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := a.CacheStats
-	if total := st.Hits + st.Misses + st.Uncacheable; total != rep.TotalFilters {
+	hits := rep.Stats.Counter(metrics.CtrSymexCacheHits)
+	misses := rep.Stats.Counter(metrics.CtrSymexCacheMisses)
+	uncacheable := rep.Stats.Counter(metrics.CtrSymexCacheUncacheable)
+	if total := hits + misses + uncacheable; total != uint64(rep.TotalFilters) {
 		t.Errorf("cache saw %d analyses, want TotalFilters=%d", total, rep.TotalFilters)
 	}
-	if st.Hits < 10*st.Misses {
-		t.Errorf("cache hits (%d) not dominating misses (%d)", st.Hits, st.Misses)
+	if hits < 10*misses {
+		t.Errorf("cache hits (%d) not dominating misses (%d)", hits, misses)
 	}
-	if st.Uncacheable == 0 {
+	if uncacheable == 0 {
 		t.Error("expected the import-calling cfg_filter to be uncacheable")
 	}
 }

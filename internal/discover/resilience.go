@@ -13,7 +13,7 @@ package discover
 // record, and the merge stages skip the empty slots. Records are ordered by
 // (stage execution order, job index), never by scheduling.
 //
-// A nil *resilience (no plan, no retries) short-circuits every wrapper to a
+// A run with neither a plan nor a retry budget short-circuits job to a
 // plain fn(0) call with the error propagated unchanged, so the default
 // configuration is byte-identical to the pre-resilience pipelines.
 
@@ -22,8 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"crashresist/internal/faultinject"
 	"crashresist/internal/metrics"
@@ -51,35 +49,12 @@ type Degraded struct {
 	Err string `json:"error"`
 }
 
-// resilience carries one run's fault plan, retry budget and degradation
-// log. Methods on a nil receiver behave as "inactive".
-type resilience struct {
-	target  string
-	plan    *faultinject.Plan
-	retries int
-	col     *metrics.Collector
-	rp      runProf
-
-	mu    sync.Mutex
-	order map[string]int // stage name -> first-seen ordinal
-	recs  []degradedRec
-}
-
 type degradedRec struct {
 	ord int
 	d   Degraded
 }
 
-// newResilience returns nil when neither a plan nor a retry budget is
-// configured, keeping the default path allocation- and branch-free.
-func newResilience(target string, plan *faultinject.Plan, retries int, col *metrics.Collector, rp runProf) *resilience {
-	if plan == nil && retries <= 0 {
-		return nil
-	}
-	return &resilience{target: target, plan: plan, retries: retries, col: col, rp: rp}
-}
-
-// run executes one job with injection, bounded retry and degradation. The
+// job executes one job with injection, bounded retry and degradation. The
 // job key feeds the pool.job injection site as Key(target, stage, jobKey).
 // Context errors are returned immediately — cancellation is never retried
 // or degraded. Transient failures retry up to the budget, accumulating
@@ -87,8 +62,8 @@ func newResilience(target string, plan *faultinject.Plan, retries int, col *metr
 // stay fast and deterministic). A job that exhausts the budget, or fails
 // permanently, files a Degraded record and returns nil so the stage
 // continues; its result slot keeps the zero value.
-func (r *resilience) run(ctx context.Context, stage, jobKey string, job int, fn func(attempt int) error) error {
-	if r == nil {
+func (r *pipelineRun) job(ctx context.Context, stage, jobKey string, job int, fn func(attempt int) error) error {
+	if r.FaultPlan == nil && r.Retries <= 0 {
 		return fn(0)
 	}
 	key := faultinject.Key(r.target, stage, jobKey)
@@ -99,7 +74,7 @@ func (r *resilience) run(ctx context.Context, stage, jobKey string, job int, fn 
 			return cerr
 		}
 		attempts = attempt + 1
-		if ierr := r.plan.ErrAttempt(faultinject.SitePoolJob, key, attempt); ierr != nil {
+		if ierr := r.FaultPlan.ErrAttempt(faultinject.SitePoolJob, key, attempt); ierr != nil {
 			r.col.Add(metrics.CtrFaultsInjected, 1)
 			err = fmt.Errorf("%s job %q: %w", stage, jobKey, ierr)
 		} else {
@@ -111,13 +86,13 @@ func (r *resilience) run(ctx context.Context, stage, jobKey string, job int, fn 
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		if attempt < r.retries && faultinject.IsTransient(err) {
+		if attempt < r.Retries && faultinject.IsTransient(err) {
 			r.col.Add(metrics.CtrRetries, 1)
 			r.col.Add(metrics.CtrBackoffTicks, uint64(1)<<attempt)
 			// Retry decisions are a stateless hash of (seed, site, key,
 			// attempt), so these charges are scheduling-independent too.
-			r.rp.add(stage, jobKey, prof.KindRetries, 1)
-			r.rp.add(stage, jobKey, prof.KindBackoffTicks, uint64(1)<<attempt)
+			r.charge(stage, jobKey, "", prof.KindRetries, 1)
+			r.charge(stage, jobKey, "", prof.KindBackoffTicks, uint64(1)<<attempt)
 			continue
 		}
 		break
@@ -127,7 +102,7 @@ func (r *resilience) run(ctx context.Context, stage, jobKey string, job int, fn 
 }
 
 // degrade files one degradation record and bumps the counter.
-func (r *resilience) degrade(stage, jobKey string, job, attempts int, err error) {
+func (r *pipelineRun) degrade(stage, jobKey string, job, attempts int, err error) {
 	r.col.Add(metrics.CtrDegraded, 1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -148,13 +123,10 @@ func (r *resilience) degrade(stage, jobKey string, job, attempts int, err error)
 	}})
 }
 
-// take returns the accumulated records ordered by stage execution order,
-// then job index. Nil when nothing degraded (so omitempty elides the
-// report field).
-func (r *resilience) take() []Degraded {
-	if r == nil {
-		return nil
-	}
+// degraded returns the accumulated records ordered by stage execution
+// order, then job index. Nil when nothing degraded (so omitempty elides
+// the report field).
+func (r *pipelineRun) degraded() []Degraded {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.recs) == 0 {
@@ -171,14 +143,4 @@ func (r *resilience) take() []Degraded {
 		out[i] = rec.d
 	}
 	return out
-}
-
-// stageCtx derives the context a pool stage runs under: the analyzer's
-// per-stage timeout when one is set, the parent context otherwise. The
-// cancel func must always be called.
-func stageCtx(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, timeout)
 }

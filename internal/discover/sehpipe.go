@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crashresist/internal/bin"
 	"crashresist/internal/cas"
-	"crashresist/internal/defense"
-	"crashresist/internal/faultinject"
 	"crashresist/internal/metrics"
 	"crashresist/internal/prof"
 	"crashresist/internal/seh"
@@ -94,42 +91,11 @@ func (r *SEHReport) Row(module string) (ModuleSEH, bool) {
 }
 
 // SEHAnalyzer drives the exception-handler pipeline against a browser.
-type SEHAnalyzer struct {
-	Seed int64
-	// Workers bounds the per-DLL fan-out; <= 0 selects GOMAXPROCS.
-	Workers int
-	// Progress receives live stage events (browse → extract → symex →
-	// cross-ref). Must be safe for concurrent use.
-	Progress func(metrics.StageEvent)
-	// Sinks receive the run's live events and final RunStats.
-	Sinks []metrics.Sink
-	// FaultPlan, when non-nil, injects deterministic failures into the
-	// browse run, the symbolic executors and the pool-job sites.
-	FaultPlan *faultinject.Plan
-	// Retries bounds per-job re-runs after a transient failure; setting
-	// Retries (or FaultPlan) switches failed jobs from aborting the run
-	// to degrading into Report.Degraded.
-	Retries int
-	// StageTimeout bounds the symex fan-out; zero means no limit.
-	StageTimeout time.Duration
-	// Cache, when non-nil, persists per-DLL symex results across runs,
-	// keyed by image content (see internal/cas). Ignored while a
-	// FaultPlan is attached: chaos runs must neither read nor write
-	// entries shared with clean runs.
-	Cache *cas.Cache
-	// Profile, when non-nil, receives the run's deterministic cost
-	// attribution (see internal/prof). Profiling never touches report
-	// contents.
-	Profile *prof.Profile
-	// Detect, when non-nil, receives the run's detection inputs: the
-	// instrumented browse's exception log as benign baseline and each
-	// on-path candidate's trigger census as a detectability row. Never
-	// touches report rows — the rendered section rides RunStats.
-	Detect *defense.Detect
-
-	// CacheStats holds the symex cache counters of the last Analyze call.
-	CacheStats sym.CacheStats
-}
+// Its stages are browse → extract → symex → cross-ref, and only symex fans
+// out; the cache persists per-DLL symex results keyed by image content,
+// and the detector sees the instrumented browse's exception log as
+// baseline and each on-path candidate's trigger census as a primitive row.
+type SEHAnalyzer Runtime
 
 // sehSymexResult is one DLL's filter-classification output, produced by a
 // worker and consumed by the sequential cross-ref stage.
@@ -166,14 +132,7 @@ func (a *SEHAnalyzer) Analyze(br *targets.Browser) (*SEHReport, error) {
 // slice keyed by module load order, so the report is byte-identical for
 // any worker count.
 func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (*SEHReport, error) {
-	col := newRunCollector("seh", br.Name, a.Workers, a.Progress, a.Sinks)
-	rp := newRunProf(a.Profile, "seh", br.Name)
-	rd := newRunDetect(a.Detect, "seh", br.Name)
-	res := newResilience(br.Name, a.FaultPlan, a.Retries, col, rp)
-	rc := runCache{col: col, rp: rp}
-	if a.FaultPlan == nil {
-		rc.c = a.Cache
-	}
+	r := newRun((*Runtime)(a), "seh", br.Name)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -182,20 +141,20 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// Stage 1: instrumented browse for coverage, plus the run-time VEH
 	// census and the §VII-A registration scan. Each retry rebuilds the
 	// environment from scratch (same seed, same layout).
-	span := col.StartStage("browse", 0)
+	span := r.col.StartStage("browse", 0)
 	var (
 		env  *targets.BrowserEnv
 		hits map[trace.ScopeKey]uint64
 	)
-	err := res.run(ctx, "browse", br.Name, 0, func(int) error {
-		e, err := br.NewEnv(a.Seed)
+	err := r.job(ctx, "browse", br.Name, 0, func(int) error {
+		e, err := br.NewEnv(r.Seed)
 		if err != nil {
 			return err
 		}
-		e.Proc.FaultPlan = a.FaultPlan
+		e.Proc.FaultPlan = r.FaultPlan
 		rec := trace.NewRecorder()
 		rec.EnableCoverage()
-		if rd.on() {
+		if r.Detect != nil {
 			rec.EnableExceptionLog()
 		}
 		rec.Attach(e.Proc)
@@ -204,23 +163,17 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 			return err
 		}
 		browseErr := e.Browse()
-		span.Observe(e.Proc.Clock)
-		harvestVMStats(col, e.Proc.Stats)
-		rp.add("browse", "browse", prof.KindClockTicks, e.Proc.Clock)
-		rp.add("browse", "browse", prof.KindVMInstructions, e.Proc.Stats.Instructions)
+		// Only a completed browse is the detector's baseline: failed
+		// attempts retry or degrade.
+		cost := browseUnit(e.Proc, rec)
+		if browseErr != nil {
+			cost.detect = nil
+		}
+		r.emit(span, "browse", "browse", cost)
 		if browseErr != nil {
 			return browseErr
 		}
 		env, hits = e, rec.ScopeHits()
-		if rd.on() {
-			series := defense.BucketExc(rec.Exceptions())
-			var faults uint64
-			for _, n := range series {
-				faults += n
-			}
-			rd.baseline("browse", faults, e.Proc.Clock, series)
-			rd.series(series)
-		}
 		return nil
 	})
 	span.End()
@@ -254,7 +207,7 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// environment's modules. Modules without guarded locations are
 	// analyzed but contribute no row and no symex work.
 	invs := make([]seh.ModuleInventory, len(libs))
-	span = col.StartStage("extract", len(libs))
+	span = r.col.StartStage("extract", len(libs))
 	var work []int // indices into libs with at least one handler
 	err = runIndexed(ctx, 1, len(libs), span, func(i int) error {
 		mod, ok := env.Proc.Module(libs[i])
@@ -279,53 +232,40 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	cache := sym.NewCache()
 	symex := make([]sehSymexResult, len(libs))
 	symexOK := make([]bool, len(libs))
-	span = col.StartStage("symex", len(work))
+	span = r.col.StartStage("symex", len(work))
 	span.NameJobs(func(w int) string { return "symex/" + libs[work[w]] })
-	sctx, cancel := stageCtx(ctx, a.StageTimeout)
-	err = runSharded(sctx, a.Workers, len(work), span,
+	sctx, cancel := r.stageCtx(ctx)
+	err = runSharded(sctx, r.Workers, len(work), span,
 		func() (*sym.Executor, error) {
-			wenv, err := br.NewEnv(a.Seed)
+			wenv, err := br.NewEnv(r.Seed)
 			if err != nil {
 				return nil, err
 			}
 			exec := sym.NewExecutor(wenv.Proc)
 			exec.Cache = cache
-			exec.FaultPlan = a.FaultPlan
+			exec.FaultPlan = r.FaultPlan
 			return exec, nil
 		},
 		func(exec *sym.Executor, w int) error {
 			i := work[w]
-			return res.run(sctx, "symex", libs[i], i, func(attempt int) error {
+			return r.job(sctx, "symex", libs[i], i, func(attempt int) error {
 				exec.FaultAttempt = attempt
 				mod, ok := exec.Proc().Module(libs[i])
 				if !ok {
 					return fmt.Errorf("module %s missing from worker environment", libs[i])
 				}
-				var key cas.Key
-				haveKey := false
-				if rc.c != nil {
-					key, haveKey = sehModuleKey(mod.Image)
-					var ent sehSymexEntry
-					if haveKey && rc.get(casFamilySEH, key, &ent, "symex", libs[i]) {
-						sx := ent.result()
-						span.Observe(sx.steps)
-						profileSymex(rp, libs[i], sx)
-						symex[i] = sx
-						symexOK[i] = true
-						return nil
-					}
-				}
-				sx, err := classifyModuleFilters(exec, mod, invs[i])
+				ent, err := cached(r, casFamilySEH, "symex", libs[i],
+					func() (cas.Key, bool) { return sehModuleKey(mod.Image) },
+					func() (sehSymexEntry, bool, error) {
+						sx, err := classifyModuleFilters(exec, mod, invs[i])
+						return sehEntryOf(sx), sx.pure, err
+					})
 				if err != nil {
 					return err
 				}
-				if haveKey && sx.pure {
-					rc.put(casFamilySEH, key, sehEntryOf(sx), "symex", libs[i])
-				}
-				span.Observe(sx.steps)
-				profileSymex(rp, libs[i], sx)
-				symex[i] = sx
+				symex[i] = ent.result()
 				symexOK[i] = true
+				r.emit(span, "symex", libs[i], symex[i].unit(libs[i]))
 				return nil
 			})
 		})
@@ -334,8 +274,10 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	if err != nil {
 		return nil, err
 	}
-	a.CacheStats = cache.Stats()
-	harvestCacheStats(col, a.CacheStats)
+	st := cache.Stats()
+	r.col.Add(metrics.CtrSymexCacheHits, uint64(st.Hits))
+	r.col.Add(metrics.CtrSymexCacheMisses, uint64(st.Misses))
+	r.col.Add(metrics.CtrSymexCacheUncacheable, uint64(st.Uncacheable))
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -343,7 +285,7 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 4: cross-reference accepting handlers with browse coverage,
 	// sequentially in module load order.
-	span = col.StartStage("cross-ref", len(work))
+	span = r.col.StartStage("cross-ref", len(work))
 	for _, i := range work {
 		if !symexOK[i] {
 			continue // degraded module: no row, recorded in Degraded
@@ -415,19 +357,16 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// Detectability rows: each on-path candidate, driven as an oracle,
 	// raises one absorbed AV per probe; the browse-measured trigger census
 	// is the row's probe loop.
-	if rd.on() && env != nil {
+	if r.Detect != nil && env != nil {
 		for _, c := range report.Candidates {
-			rd.primitive(fmt.Sprintf("%s/scope-%d", c.Module, c.Scope),
-				c.Hits, c.Hits, env.Proc.Clock, nil)
+			r.detectRow(fmt.Sprintf("%s/scope-%d", c.Module, c.Scope),
+				c.Hits, c.Hits, env.Proc.Clock, nil, nil)
 		}
 	}
-	report.Degraded = res.take()
-	rd.finish(col)
-	stats, err := col.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("flush metrics %s: %w", br.Name, err)
+	report.Degraded = r.degraded()
+	if report.Stats, err = r.finish(); err != nil {
+		return nil, err
 	}
-	report.Stats = stats
 	return report, nil
 }
 
@@ -472,13 +411,17 @@ func filterClass(v sym.Verdict) string {
 	return v.ProfileClass()
 }
 
-// profileSymex charges one module job's symbolic steps to its filter
-// classes. Cold computes and warm cache replays carry the same breakdown
-// (sehSymexEntry persists it), so the charges agree in both directions.
-func profileSymex(rp runProf, module string, sx sehSymexResult) {
-	for class, n := range sx.classSteps {
-		rp.addSub("symex", class, module, prof.KindSymexSteps, n)
-	}
+// unit is one module job's cost record: its symbolic steps are the
+// latency sample, charged to the profile by filter class with the module
+// as sub-frame. Cold computes and warm cache replays carry the same
+// breakdown (sehSymexEntry persists it).
+func (sx *sehSymexResult) unit(module string) unitCost {
+	return unitCost{latency: sx.steps,
+		subs: func(charge func(unit, sub string, k prof.Kind, n uint64)) {
+			for class, n := range sx.classSteps {
+				charge(class, module, prof.KindSymexSteps, n)
+			}
+		}}
 }
 
 // crossRefModuleSEH builds one module's table row from its inventory,

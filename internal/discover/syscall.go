@@ -21,17 +21,13 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crashresist/internal/bin"
 	"crashresist/internal/cas"
-	"crashresist/internal/defense"
-	"crashresist/internal/faultinject"
 	"crashresist/internal/isa"
 	"crashresist/internal/kernel"
 	"crashresist/internal/mem"
 	"crashresist/internal/metrics"
-	"crashresist/internal/prof"
 	"crashresist/internal/targets"
 	"crashresist/internal/vm"
 )
@@ -202,49 +198,12 @@ func (r *SyscallReport) Usable() []string {
 	return out
 }
 
-// SyscallAnalyzer drives the Linux pipeline for one or more servers.
-type SyscallAnalyzer struct {
-	// Seed fixes ASLR so provenance addresses stay valid between the
-	// observation run and validation replays.
-	Seed int64
-	// InvalidAddr overrides the corruption value (default
-	// InvalidProbeAddr).
-	InvalidAddr uint64
-	// Workers bounds the fan-out of AnalyzeAll (per server) and of the
-	// validation replays within one Analyze (per candidate); <= 0 selects
-	// GOMAXPROCS.
-	Workers int
-	// Progress receives live stage events (taint → candidate → validate).
-	// When AnalyzeAll fans servers out, events from concurrent runs
-	// interleave; the callback must be safe for concurrent use.
-	Progress func(metrics.StageEvent)
-	// Sinks receive each run's live events and final RunStats.
-	Sinks []metrics.Sink
-	// FaultPlan, when non-nil, injects deterministic failures into the
-	// run's VM, kernel and pool-job sites (chaos mode).
-	FaultPlan *faultinject.Plan
-	// Retries bounds per-job re-runs after a transient failure. Setting
-	// Retries (or FaultPlan) switches failed jobs from aborting the run
-	// to degrading: they are dropped and recorded in Report.Degraded.
-	Retries int
-	// StageTimeout bounds each fanned-out stage; zero means no limit. A
-	// timeout cancels the stage and surfaces as a context error.
-	StageTimeout time.Duration
-	// Cache, when non-nil, persists validation outcomes across runs,
-	// keyed by server content and candidate identity (see internal/cas).
-	// Ignored while a FaultPlan is attached: chaos runs must neither
-	// read nor write entries shared with clean runs.
-	Cache *cas.Cache
-	// Profile, when non-nil, receives each run's deterministic cost
-	// attribution (see internal/prof). Profiling never touches report
-	// contents.
-	Profile *prof.Profile
-	// Detect, when non-nil, receives the run's detection inputs: the
-	// benign observe phase as baseline, each validation replay's fault
-	// series and per-primitive probe costs. Like Profile, it never
-	// touches report rows — the rendered section rides RunStats.
-	Detect *defense.Detect
-}
+// SyscallAnalyzer drives the Linux pipeline for one or more servers. Its
+// stages are taint → candidate → validate; the cache persists validation
+// outcomes keyed by server content and candidate identity, and the
+// detector sees the benign observe run as baseline and each validation
+// replay's fault series as a primitive row.
+type SyscallAnalyzer Runtime
 
 // AnalyzeAll runs the pipeline for every server, fanning the servers out
 // across the worker pool. Reports are returned in input order and each is
@@ -282,19 +241,12 @@ func (a *SyscallAnalyzer) Analyze(srv *targets.Server) (*SyscallReport, error) {
 // AnalyzeContext is Analyze with cancellation, checked between stages and
 // before each validation replay.
 func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Server) (*SyscallReport, error) {
-	invalid := a.InvalidAddr
-	if invalid == 0 {
-		invalid = InvalidProbeAddr
-	}
-	col := newRunCollector("syscall", srv.Name, a.Workers, a.Progress, a.Sinks)
-	rp := newRunProf(a.Profile, "syscall", srv.Name)
-	rd := newRunDetect(a.Detect, "syscall", srv.Name)
-	res := newResilience(srv.Name, a.FaultPlan, a.Retries, col, rp)
-	rc := runCache{col: col, rp: rp}
+	r := newRun((*Runtime)(a), "syscall", srv.Name)
+	// Validation entries key on the server's marshaled image; an image that
+	// does not marshal runs uncached.
 	var srvImage []byte
-	if a.FaultPlan == nil && a.Cache != nil {
-		if data, merr := bin.Marshal(srv.Image); merr == nil {
-			rc.c = a.Cache
+	if r.Cache != nil {
+		if data, err := bin.Marshal(srv.Image); err == nil {
 			srvImage = data
 		}
 	}
@@ -306,8 +258,8 @@ func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Serve
 		observed   map[string]bool
 		candidates []Candidate
 	)
-	err := res.run(ctx, "observe", srv.Name, 0, func(int) error {
-		o, c, err := a.observe(srv, col, rp, rd)
+	err := r.job(ctx, "observe", srv.Name, 0, func(int) error {
+		o, c, err := r.observe(srv)
 		if err != nil {
 			return err
 		}
@@ -344,45 +296,28 @@ func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Serve
 	}
 
 	findings := make([]Finding, len(candidates))
-	span := col.StartStage("validate", len(candidates))
+	span := r.col.StartStage("validate", len(candidates))
 	span.NameJobs(func(i int) string {
 		return fmt.Sprintf("validate/%s/arg%d", candidates[i].Syscall, candidates[i].ArgIndex)
 	})
-	vctx, cancel := stageCtx(ctx, a.StageTimeout)
-	err = runIndexed(vctx, a.Workers, len(candidates), span, func(i int) error {
+	vctx, cancel := r.stageCtx(ctx)
+	err = runIndexed(vctx, r.Workers, len(candidates), span, func(i int) error {
 		cand := candidates[i]
 		jobKey := fmt.Sprintf("%s/%d", cand.Syscall, cand.ArgIndex)
-		return res.run(vctx, "validate", jobKey, i, func(int) error {
-			var key cas.Key
-			haveKey := false
-			if rc.c != nil {
-				key = validateKey(srvImage, srv.Name, a.Seed, invalid, cand)
-				haveKey = true
-				var ent validateEntry
-				if rc.get(casFamilyValidate, key, &ent, "validate", jobKey) {
-					span.Observe(ent.Cost.Clock)
-					harvestVMStats(col, ent.Cost.Stats)
-					harvestKernelCounts(col, ent.Cost.Kernel)
-					profileValidate(rp, jobKey, ent.Cost)
-					detectValidate(rd, cand, ent.Cost)
-					findings[i] = ent.Finding
-					return nil
-				}
-			}
-			finding, cost, err := a.validate(srv, cand, invalid)
+		return r.job(vctx, "validate", jobKey, i, func(int) error {
+			ent, err := cached(r, casFamilyValidate, "validate", jobKey,
+				func() (cas.Key, bool) {
+					return validateKey(srvImage, srv.Name, r.Seed, InvalidProbeAddr, cand), srvImage != nil
+				},
+				func() (validateEntry, bool, error) {
+					finding, cost, err := r.validate(srv, cand)
+					return validateEntry{Finding: finding, Cost: cost}, true, err
+				})
 			if err != nil {
 				return fmt.Errorf("validate %s/%s: %w", srv.Name, cand.Syscall, err)
 			}
-			// The replay's virtual clock is the job's deterministic cost.
-			span.Observe(cost.Clock)
-			harvestVMStats(col, cost.Stats)
-			harvestKernelCounts(col, cost.Kernel)
-			profileValidate(rp, jobKey, cost)
-			detectValidate(rd, cand, cost)
-			if haveKey {
-				rc.put(casFamilyValidate, key, validateEntry{Finding: finding, Cost: cost}, "validate", jobKey)
-			}
-			findings[i] = finding
+			r.emit(span, "validate", jobKey, validateUnit(cand, ent.Cost))
+			findings[i] = ent.Finding
 			return nil
 		})
 	})
@@ -421,56 +356,53 @@ func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Serve
 					"pointer arg %d of %s loaded from writable address %#x with taint mask %#x, observed %d time(s)",
 					f.ArgIndex, f.Syscall, f.Provenance, f.TaintMask, f.Count),
 				step("validate", f.Status.Token(),
-					"pointer storage corrupted to %#x and suite replayed: %s", invalid, f.Detail),
+					"pointer storage corrupted to %#x and suite replayed: %s", InvalidProbeAddr, f.Detail),
 			},
 		})
 	}
-	report.Degraded = res.take()
-	rd.finish(col)
-	stats, err := col.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("flush metrics %s: %w", srv.Name, err)
+	report.Degraded = r.degraded()
+	if report.Stats, err = r.finish(); err != nil {
+		return nil, err
 	}
-	report.Stats = stats
 	return report, nil
 }
 
-// profileValidate charges one validation replay's cost, identically for
-// cold computes and warm cache replays (the entry persists the cost).
-func profileValidate(rp runProf, jobKey string, cost validateCost) {
-	rp.add("validate", jobKey, prof.KindClockTicks, cost.Clock)
-	rp.add("validate", jobKey, prof.KindVMInstructions, cost.Stats.Instructions)
+// suiteCost snapshots a Linux-model environment's deterministic cost.
+func suiteCost(env *targets.ServerEnv) validateCost {
+	return validateCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, Kernel: env.Kern.Counts()}
 }
 
-// detectValidate feeds one validation replay into the detection engine,
-// identically for cold computes and warm cache replays: the corrupted
+// unit is a suite run's cost record: its clock is both the latency sample
+// and the profile charge, and the process and kernel counters feed the run
+// counters and fault-event series.
+func (c validateCost) unit() unitCost {
+	return unitCost{latency: c.Clock, clock: c.Clock, vm: &c.Stats, kernel: &c.Kernel}
+}
+
+// validateUnit is one validation replay's cost record. The corrupted
 // invocations that returned -EFAULT are the primitive's probes, the
 // replay's virtual clock their measured cost, and the kernel's bucket
 // series both the row profile and part of the run-level stream.
-func detectValidate(rd runDetect, cand Candidate, cost validateCost) {
-	if !rd.on() {
-		return
+func validateUnit(cand Candidate, c validateCost) unitCost {
+	u := c.unit()
+	u.detect = func(r *pipelineRun) {
+		faults := c.Kernel.EFAULTReturns
+		r.detectRow(fmt.Sprintf("%s/arg%d", cand.Syscall, cand.ArgIndex),
+			max(faults, 1), faults, c.Clock, c.Kernel.EFAULTBuckets, c.Kernel.EFAULTBuckets)
 	}
-	faults := cost.Kernel.EFAULTReturns
-	probes := faults
-	if probes == 0 {
-		probes = 1
-	}
-	primitive := fmt.Sprintf("%s/arg%d", cand.Syscall, cand.ArgIndex)
-	rd.primitive(primitive, probes, faults, cost.Clock, cost.Kernel.EFAULTBuckets)
-	rd.series(cost.Kernel.EFAULTBuckets)
+	return u
 }
 
 // observe runs the suite once under taint tracking, collecting observed
 // EFAULT-capable syscalls and corruptible-pointer candidates. The run is
 // the "taint" span; candidate distillation afterwards is "candidate".
-func (a *SyscallAnalyzer) observe(srv *targets.Server, col *metrics.Collector, rp runProf, rd runDetect) (map[string]bool, []Candidate, error) {
-	env, err := srv.NewEnvNoStart(a.Seed)
+func (r *pipelineRun) observe(srv *targets.Server) (map[string]bool, []Candidate, error) {
+	env, err := srv.NewEnvNoStart(r.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
-	env.Kern.SetFaultPlan(a.FaultPlan)
+	env.Proc.FaultPlan = r.FaultPlan
+	env.Kern.SetFaultPlan(r.FaultPlan)
 
 	observed := make(map[string]bool)
 	candByKey := make(map[string]*Candidate)
@@ -509,37 +441,30 @@ func (a *SyscallAnalyzer) observe(srv *targets.Server, col *metrics.Collector, r
 	}}
 	env.Kern.SetObserver(obs)
 
-	span := col.StartStage("taint", 0)
-	if err := env.Boot(); err != nil {
-		// A server that cannot even boot yields an empty observation.
-		span.Observe(env.Proc.Clock)
-		span.End()
-		counts := env.Kern.Counts()
-		harvestVMStats(col, env.Proc.Stats)
-		harvestKernelCounts(col, counts)
-		rp.add("taint", "suite", prof.KindClockTicks, env.Proc.Clock)
-		rp.add("taint", "suite", prof.KindVMInstructions, env.Proc.Stats.Instructions)
-		rd.baseline("observe", counts.EFAULTReturns, env.Proc.Clock, counts.EFAULTBuckets)
-		rd.series(counts.EFAULTBuckets)
-		return observed, nil, nil
+	span := r.col.StartStage("taint", 0)
+	// A server that cannot even boot yields an empty observation.
+	bootErr := env.Boot()
+	var suiteErr error
+	if bootErr == nil {
+		suiteErr = srv.Suite(env)
 	}
-	suiteErr := srv.Suite(env)
-	span.Observe(env.Proc.Clock)
-	span.End()
-	counts := env.Kern.Counts()
-	harvestVMStats(col, env.Proc.Stats)
-	harvestKernelCounts(col, counts)
-	rp.add("taint", "suite", prof.KindClockTicks, env.Proc.Clock)
-	rp.add("taint", "suite", prof.KindVMInstructions, env.Proc.Stats.Instructions)
 	// The uncorrupted suite run is the pipeline's benign baseline: what
 	// the defender sees when no one is probing.
-	rd.baseline("observe", counts.EFAULTReturns, env.Proc.Clock, counts.EFAULTBuckets)
-	rd.series(counts.EFAULTBuckets)
+	c := suiteCost(env)
+	cost := c.unit()
+	cost.detect = func(r *pipelineRun) {
+		r.detectBaseline("observe", c.Kernel.EFAULTReturns, c.Clock, c.Kernel.EFAULTBuckets)
+	}
+	r.emit(span, "taint", "suite", cost)
+	span.End()
+	if bootErr != nil {
+		return observed, nil, nil
+	}
 	if suiteErr != nil {
 		return nil, nil, suiteErr
 	}
 
-	span = col.StartStage("candidate", len(candByKey))
+	span = r.col.StartStage("candidate", len(candByKey))
 	keys := make([]string, 0, len(candByKey))
 	for k := range candByKey {
 		keys = append(keys, k)
@@ -558,16 +483,13 @@ func (a *SyscallAnalyzer) observe(srv *targets.Server, col *metrics.Collector, r
 // and classifies the outcome. The returned cost carries the replay's
 // deterministic counters; the caller observes them, so a cache hit can
 // replay the identical observations.
-func (a *SyscallAnalyzer) validate(srv *targets.Server, cand Candidate, invalid uint64) (Finding, validateCost, error) {
-	env, err := srv.NewEnvNoStart(a.Seed)
+func (r *pipelineRun) validate(srv *targets.Server, cand Candidate) (Finding, validateCost, error) {
+	env, err := srv.NewEnvNoStart(r.Seed)
 	if err != nil {
 		return Finding{}, validateCost{}, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
-	env.Kern.SetFaultPlan(a.FaultPlan)
-	cost := func() validateCost {
-		return validateCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, Kernel: env.Kern.Counts()}
-	}
+	env.Proc.FaultPlan = r.FaultPlan
+	env.Kern.SetFaultPlan(r.FaultPlan)
 
 	// Corrupt the stored pointer now (covers load-time relocations) and
 	// after every subsequent program store to it (covers runtime
@@ -576,7 +498,7 @@ func (a *SyscallAnalyzer) validate(srv *targets.Server, cand Candidate, invalid 
 		inner:  env.Proc.Flow,
 		as:     env.Proc.AS,
 		target: cand.Provenance,
-		value:  invalid,
+		value:  InvalidProbeAddr,
 	}
 	env.Proc.Flow = cor
 	cor.corrupt()
@@ -597,7 +519,7 @@ func (a *SyscallAnalyzer) validate(srv *targets.Server, cand Candidate, invalid 
 	if err := env.Boot(); err != nil {
 		finding.Status = StatusInvalidCandidate
 		finding.Detail = fmt.Sprintf("server crashed during startup: %v", env.Proc.Crash)
-		return finding, cost(), nil
+		return finding, suiteCost(env), nil
 	}
 	_ = srv.Suite(env)
 
@@ -615,7 +537,7 @@ func (a *SyscallAnalyzer) validate(srv *targets.Server, cand Candidate, invalid 
 		finding.Status = StatusUsable
 		finding.Detail = "EFAULT returned, server alive and serving"
 	}
-	return finding, cost(), nil
+	return finding, suiteCost(env), nil
 }
 
 // observationSink adapts closures to kernel.Observer.

@@ -11,6 +11,12 @@ import (
 // retryAfterSeconds is the backpressure hint sent with 429 responses.
 const retryAfterSeconds = 1
 
+// maxSubmitBytes bounds a POST /v1/jobs body. A JobSpec is a handful of
+// scalar fields, so 64 KiB leaves ample room while keeping an oversized
+// (or endless) body from being buffered; it is answered with 413 before
+// the job touches the queue or the worker-token pool.
+const maxSubmitBytes = 64 << 10
+
 // Handler returns the service's HTTP surface:
 //
 //	POST   /v1/jobs             submit a JobSpec, 202 + queued JobView
@@ -49,7 +55,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError maps a service error to its HTTP status and JSON envelope.
 func writeError(w http.ResponseWriter, err error) {
 	e := apiError{Schema: Schema, Error: err.Error()}
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, e)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds))
 		e.RetryAfterSeconds = retryAfterSeconds
@@ -67,10 +76,10 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("%w: decode body: %v", ErrBadRequest, err))
+		writeError(w, fmt.Errorf("%w: decode body: %w", ErrBadRequest, err))
 		return
 	}
 	view, err := s.Submit(spec)

@@ -296,6 +296,44 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody checks the submit edge's size bound: a body past
+// maxSubmitBytes is refused with 413 before it reaches Submit, so it
+// holds no queue slot and no worker token, and the service keeps
+// accepting well-formed jobs.
+func TestHTTPOversizedBody(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	s, ts := startServer(t, Config{Budget: 1, MaxQueue: 1, Runner: blockingRunner(nil, release)})
+
+	body := `{"target":"nginx","tenant":"` + strings.Repeat("a", maxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Errorf("413 body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if queued, running := s.Counts(); queued != 0 || running != 0 {
+		t.Errorf("oversized body left queued=%d running=%d, want 0/0", queued, running)
+	}
+	s.mu.Lock()
+	tokens, jobs := s.tokens, len(s.jobs)
+	s.mu.Unlock()
+	if tokens != s.Budget() || jobs != 0 {
+		t.Errorf("oversized body: tokens=%d (budget %d), jobs=%d, want all tokens free and no job", tokens, s.Budget(), jobs)
+	}
+
+	// The full queue and the token are still there for real submissions.
+	postJob(t, ts, `{"target":"nginx"}`)
+	waitRunning(t, s)
+	postJob(t, ts, `{"target":"nginx"}`)
+}
+
 // waitRunning blocks until one job is running (not merely queued).
 func waitRunning(t *testing.T, s *Service) {
 	t.Helper()

@@ -491,33 +491,21 @@ func runBrowser(ctx context.Context, req Request, br *BrowserTarget, target stri
 	}
 }
 
-// The pipeline cores, shared by Run and the legacy wrappers. Each builds
-// its analyzer from the resolved option set and runs it.
+// The pipeline cores, shared by Run and the legacy wrappers. Each resolves
+// the option set into the shared runtime and runs the matching analyzer.
 
 func analyzeServerContext(ctx context.Context, srv *ServerTarget, seed int64, opts []Option) (*SyscallReport, error) {
-	return buildOptions(opts).syscallAnalyzer(seed).AnalyzeContext(ctx, srv)
+	return (*discover.SyscallAnalyzer)(buildRuntime(seed, opts)).AnalyzeContext(ctx, srv)
 }
 
 func analyzeServersContext(ctx context.Context, servers []*ServerTarget, seed int64, opts []Option) ([]*SyscallReport, error) {
-	return buildOptions(opts).syscallAnalyzer(seed).AnalyzeAllContext(ctx, servers)
+	return (*discover.SyscallAnalyzer)(buildRuntime(seed, opts)).AnalyzeAllContext(ctx, servers)
 }
 
 func analyzeBrowserAPIsContext(ctx context.Context, br *BrowserTarget, seed int64, opts []Option) (*APIFunnelReport, error) {
-	o := buildOptions(opts)
-	a := &discover.APIAnalyzer{
-		Seed: seed, Workers: o.workers, Progress: o.progress, Sinks: o.sinks,
-		FaultPlan: o.plan, Retries: o.retries, StageTimeout: o.stageTimeout,
-		Cache: o.cache, Profile: o.profile, Detect: o.detect,
-	}
-	return a.AnalyzeContext(ctx, br)
+	return (*discover.APIAnalyzer)(buildRuntime(seed, opts)).AnalyzeContext(ctx, br)
 }
 
 func analyzeBrowserSEHContext(ctx context.Context, br *BrowserTarget, seed int64, opts []Option) (*SEHReport, error) {
-	o := buildOptions(opts)
-	a := &discover.SEHAnalyzer{
-		Seed: seed, Workers: o.workers, Progress: o.progress, Sinks: o.sinks,
-		FaultPlan: o.plan, Retries: o.retries, StageTimeout: o.stageTimeout,
-		Cache: o.cache, Profile: o.profile, Detect: o.detect,
-	}
-	return a.AnalyzeContext(ctx, br)
+	return (*discover.SEHAnalyzer)(buildRuntime(seed, opts)).AnalyzeContext(ctx, br)
 }
