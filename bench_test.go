@@ -43,7 +43,7 @@ func BenchmarkTableI(b *testing.B) {
 		usable := 0
 		falsePos := 0
 		for _, srv := range servers {
-			rep, err := AnalyzeServer(srv, 42)
+			rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func BenchmarkTableIDetectOn(b *testing.B) {
 		usable := 0
 		falsePos := 0
 		for _, srv := range servers {
-			rep, err := AnalyzeServer(srv, 42, WithDetect(d))
+			rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, Detect: d})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func BenchmarkAPIFunnel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := AnalyzeBrowserAPIs(br, 42)
+		rep, err := runReport[*APIFunnelReport](Request{Pipeline: PipelineAPI, Browser: br, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,13 +154,14 @@ func BenchmarkAPIFunnel(b *testing.B) {
 
 // benchSEHReport runs the full-scale exception-handler pipeline once per
 // call (E3/E4 share this).
-func benchSEHReport(b *testing.B, opts ...Option) *SEHReport {
+func benchSEHReport(b *testing.B, req Request) *SEHReport {
 	b.Helper()
 	br, err := IE(PaperBrowserParams())
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserSEH(br, 42, opts...)
+	req.Pipeline, req.Browser, req.Seed = PipelineSEH, br, 42
+	rep, err := runReport[*SEHReport](req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func benchSEHReport(b *testing.B, opts ...Option) *SEHReport {
 // BenchmarkTableII regenerates the guarded-code-location table (E3).
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b)
+		rep := benchSEHReport(b, Request{})
 		row, ok := rep.Row("user32.dll")
 		if !ok || row.Handlers != 70 || row.AVHandlers != 63 || row.OnPath != 40 {
 			b.Fatalf("user32 row = %+v", row)
@@ -193,7 +194,7 @@ func BenchmarkTableII(b *testing.B) {
 // BenchmarkTableIII regenerates the unique-filter table (E4).
 func BenchmarkTableIII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b)
+		rep := benchSEHReport(b, Request{})
 		if rep.TotalModules != 187 {
 			b.Fatalf("modules = %d, want 187", rep.TotalModules)
 		}
@@ -233,7 +234,7 @@ func checkTableIII(b *testing.B, rep *SEHReport) {
 // symex cache stays on in both variants).
 func BenchmarkTableIIISequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b, WithWorkers(1))
+		rep := benchSEHReport(b, Request{Workers: 1})
 		checkTableIII(b, rep)
 		b.ReportMetric(float64(rep.TotalAVFilters), "accepting-filters")
 	}
@@ -245,7 +246,7 @@ func BenchmarkTableIIISequential(b *testing.B) {
 // the two are equal by construction).
 func BenchmarkTableIIIParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b, WithWorkers(0))
+		rep := benchSEHReport(b, Request{Workers: 0})
 		checkTableIII(b, rep)
 		b.ReportMetric(float64(rep.TotalAVFilters), "accepting-filters")
 	}
@@ -262,11 +263,11 @@ func BenchmarkTableIIIWarmCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep := benchSEHReport(b, WithWorkers(1), WithCache(cache))
+	rep := benchSEHReport(b, Request{Workers: 1, Cache: cache})
 	checkTableIII(b, rep)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b, WithWorkers(1), WithCache(cache))
+		rep := benchSEHReport(b, Request{Workers: 1, Cache: cache})
 		checkTableIII(b, rep)
 		hits := rep.Stats.Counter(CtrCacheHits)
 		if hits < 180 {
@@ -289,7 +290,7 @@ func BenchmarkTableIIIGenLarge(b *testing.B) {
 	gh, gf, _, _, _ := br.Plan.GenTotals()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := AnalyzeBrowserSEH(br, 42, WithWorkers(0))
+		rep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +315,7 @@ func BenchmarkTableIParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports, err := AnalyzeServers(servers, 42, WithWorkers(0))
+		reports, err := runReport[[]*SyscallReport](Request{Servers: servers, Seed: 42, Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +339,7 @@ func BenchmarkAPIFunnelParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := AnalyzeBrowserAPIs(br, 42, WithWorkers(0))
+		rep, err := runReport[*APIFunnelReport](Request{Pipeline: PipelineAPI, Browser: br, Seed: 42, Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -534,7 +535,7 @@ func BenchmarkPriorPrimitives(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ieRep, err := AnalyzeBrowserSEH(ie, 42)
+		ieRep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: ie, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -543,7 +544,7 @@ func BenchmarkPriorPrimitives(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ffRep, err := AnalyzeBrowserSEH(ff, 42)
+		ffRep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: ff, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -709,7 +710,7 @@ func BenchmarkAblationTaintVsBaseline(b *testing.B) {
 		}
 		var taintGuided, baseline int
 		for _, srv := range servers {
-			rep, err := AnalyzeServer(srv, 42)
+			rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -19,11 +19,11 @@ import (
 )
 
 // cachePipelines enumerates the three discovery pipelines against small
-// fixed targets, each closed over an option slice so callers can vary
-// worker counts and cache wiring per run.
+// fixed targets, each filling the target into a caller's request so
+// callers can vary worker counts and cache wiring per run.
 func cachePipelines(t *testing.T) []struct {
 	name    string
-	analyze func(opts ...Option) (any, error)
+	analyze func(req Request) (any, error)
 } {
 	t.Helper()
 	srv, err := Server("nginx")
@@ -36,11 +36,20 @@ func cachePipelines(t *testing.T) []struct {
 	}
 	return []struct {
 		name    string
-		analyze func(opts ...Option) (any, error)
+		analyze func(req Request) (any, error)
 	}{
-		{"syscall", func(opts ...Option) (any, error) { return AnalyzeServer(srv, 42, opts...) }},
-		{"api", func(opts ...Option) (any, error) { return AnalyzeBrowserAPIs(br, 42, opts...) }},
-		{"seh", func(opts ...Option) (any, error) { return AnalyzeBrowserSEH(br, 42, opts...) }},
+		{"syscall", func(req Request) (any, error) {
+			req.Server, req.Seed = srv, 42
+			return runReport[any](req)
+		}},
+		{"api", func(req Request) (any, error) {
+			req.Pipeline, req.Browser, req.Seed = PipelineAPI, br, 42
+			return runReport[any](req)
+		}},
+		{"seh", func(req Request) (any, error) {
+			req.Pipeline, req.Browser, req.Seed = PipelineSEH, br, 42
+			return runReport[any](req)
+		}},
 	}
 }
 
@@ -73,7 +82,7 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			baseline, err := pl.analyze(WithWorkers(1))
+			baseline, err := pl.analyze(Request{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +91,7 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 				t.Errorf("cache-off run counted %d cache hits", h)
 			}
 
-			cold, err := pl.analyze(WithWorkers(1), WithCache(cache))
+			cold, err := pl.analyze(Request{Workers: 1, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +105,7 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 4, 8} {
-				warm, err := pl.analyze(WithWorkers(workers), WithCache(cache))
+				warm, err := pl.analyze(Request{Workers: workers, Cache: cache})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +131,7 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 	}
 }
 
-// TestWithCacheDirOption covers the directory-based option: a good dir
+// TestWithCacheDirOption covers Request.CacheDir: a good dir
 // caches, an unusable dir silently degrades to an uncached (but correct)
 // run.
 func TestWithCacheDirOption(t *testing.T) {
@@ -130,7 +139,7 @@ func TestWithCacheDirOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := AnalyzeServer(srv, 42, WithWorkers(1))
+	baseline, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestWithCacheDirOption(t *testing.T) {
 
 	dir := t.TempDir()
 	for run := 0; run < 2; run++ {
-		rep, err := AnalyzeServer(srv, 42, WithWorkers(1), WithCacheDir(dir))
+		rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, Workers: 1, CacheDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,12 +159,12 @@ func TestWithCacheDirOption(t *testing.T) {
 		}
 	}
 
-	// A path that cannot be a directory: WithCacheDir must degrade, not fail.
+	// A path that cannot be a directory: CacheDir must degrade, not fail.
 	file := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeServer(srv, 42, WithWorkers(1), WithCacheDir(filepath.Join(file, "cache")))
+	rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, Workers: 1, CacheDir: filepath.Join(file, "cache")})
 	if err != nil {
 		t.Fatalf("unusable cache dir failed the analysis: %v", err)
 	}
@@ -176,7 +185,7 @@ func TestChaosCacheDegradesToRecompute(t *testing.T) {
 	for _, pl := range cachePipelines(t) {
 		pl := pl
 		t.Run(pl.name, func(t *testing.T) {
-			baseline, err := pl.analyze(WithWorkers(1))
+			baseline, err := pl.analyze(Request{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +202,7 @@ func TestChaosCacheDegradesToRecompute(t *testing.T) {
 				cache.SetFaultPlan(plan)
 
 				for _, workers := range chaosWorkerCounts {
-					rep, err := pl.analyze(WithWorkers(workers), WithCache(cache))
+					rep, err := pl.analyze(Request{Workers: workers, Cache: cache})
 					if err != nil {
 						t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 					}
@@ -222,8 +231,7 @@ func TestPipelineChaosBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeServer(srv, 42, WithWorkers(4), WithCache(cache),
-		WithFaultPlan(DefaultFaultPlan(1)), WithRetry(2))
+	rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, Workers: 4, Cache: cache, ChaosSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +264,7 @@ func TestCorruptedEntriesNeverChangeReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := pl.analyze(WithWorkers(1), WithCache(cache))
+			cold, err := pl.analyze(Request{Workers: 1, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +306,7 @@ func TestCorruptedEntriesNeverChangeReports(t *testing.T) {
 				}
 			}
 
-			warm, err := pl.analyze(WithWorkers(4), WithCache(cache))
+			warm, err := pl.analyze(Request{Workers: 4, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +323,7 @@ func TestCorruptedEntriesNeverChangeReports(t *testing.T) {
 			}
 
 			// The recompute rewrote every entry: a third run is all hits.
-			healed, err := pl.analyze(WithWorkers(1), WithCache(cache))
+			healed, err := pl.analyze(Request{Workers: 1, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +359,7 @@ func TestIncrementalRediscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := AnalyzeBrowserSEH(br, 42, WithWorkers(4), WithCache(cache))
+	cold, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +378,7 @@ func TestIncrementalRediscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := AnalyzeBrowserSEH(br2, 42, WithWorkers(4), WithCache(cache))
+	warm, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br2, Seed: 42, Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +419,7 @@ func TestCacheSurvivesCorpusPermutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeBrowserSEH(br, 42, WithWorkers(workers), WithCache(cache))
+		rep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: workers, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,12 +472,13 @@ func TestCacheStatesObserveSameStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			var runs []*RunStats
-			for _, opts := range [][]Option{
-				{WithWorkers(2)},
-				{WithWorkers(2), WithCache(cache)},
-				{WithWorkers(2), WithCache(cache)},
+			for _, req := range []Request{
+				{Workers: 2},
+				{Workers: 2, Cache: cache},
+				{Workers: 2, Cache: cache},
 			} {
-				rep, err := pl.analyze(append(opts, WithDetect(NewDetect()))...)
+				req.Detect = NewDetect()
+				rep, err := pl.analyze(req)
 				if err != nil {
 					t.Fatal(err)
 				}

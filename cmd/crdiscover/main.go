@@ -79,14 +79,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	req := an.Request(stderr, "crdiscover")
 	req.Pipeline, req.Target = *pipeline, *target
-	opts := append(prf.Options(), det.Options()...)
+	req.Profile, req.Detect = prf.Profile(), det.Detect()
 
 	// Trace export and live serving both ride a metrics registry sink. The
 	// listener binds before the analysis so scrapes work while it runs.
 	var reg *crashresist.MetricsRegistry
 	if an.Trace != "" || *serveAddr != "" {
 		reg = crashresist.NewMetricsRegistry()
-		opts = append(opts, crashresist.WithSink(reg))
+		req.Sinks = append(req.Sinks, reg)
 	}
 	if *serveAddr != "" {
 		// Serve the live profile alongside /metrics. With -profile unset
@@ -118,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		go func() { _ = srv.Serve(ln) }()
 	}
 
-	req.Options = opts
 	res, err := crashresist.Run(context.Background(), req)
 	if err != nil {
 		return err

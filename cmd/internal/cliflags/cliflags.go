@@ -1,4 +1,4 @@
-// Package cliflags holds the flag definitions and option plumbing shared
+// Package cliflags holds the flag definitions and request plumbing shared
 // by the crashresist commands (crtables, crdiscover, crmon, crprobe), so
 // `-workers` or `-cache-dir` means exactly the same thing — same default,
 // same help text, same behavior on a broken cache directory — no matter
@@ -18,7 +18,7 @@ import (
 )
 
 // Analysis groups the analysis-tuning flags. Register the subsets a
-// command supports, Parse, then build library options with Options.
+// command supports, Parse, then build the library request with Request.
 type Analysis struct {
 	Seed      int64
 	Workers   int
@@ -132,14 +132,6 @@ func (p *Profiling) Profile() *crashresist.Profile {
 	return p.p
 }
 
-// Options returns the option list attaching the profile; empty when off.
-func (p *Profiling) Options() []crashresist.Option {
-	if !p.Enabled() {
-		return nil
-	}
-	return []crashresist.Option{crashresist.WithProfile(p.Profile())}
-}
-
 // Emit writes the accumulated profile to w in the selected mode. A no-op
 // when profiling is off.
 func (p *Profiling) Emit(w io.Writer) error {
@@ -194,14 +186,6 @@ func (d *Detection) Detect() *crashresist.Detect {
 		d.d = crashresist.NewDetect()
 	}
 	return d.d
-}
-
-// Options returns the option list attaching the observer; empty when off.
-func (d *Detection) Options() []crashresist.Option {
-	if !d.Enabled() {
-		return nil
-	}
-	return []crashresist.Option{crashresist.WithDetect(d.Detect())}
 }
 
 // Emit writes the accumulated detectability report to w in the selected

@@ -1,16 +1,30 @@
 package crashresist
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"crashresist/internal/kernel"
 )
+
+// runReport runs req and returns its populated report as T:
+// *SyscallReport, []*SyscallReport, *APIFunnelReport or *SEHReport.
+func runReport[T any](req Request) (T, error) {
+	res, err := Run(context.Background(), req)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return res.Report().(T), nil
+}
 
 func TestPublicServerWorkflow(t *testing.T) {
 	srv, err := Server("nginx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeServer(srv, 11)
+	rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +38,14 @@ func TestPublicBrowserWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	funnel, err := AnalyzeBrowserAPIs(br, 12)
+	funnel, err := runReport[*APIFunnelReport](Request{Pipeline: PipelineAPI, Browser: br, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if funnel.Controllable != 0 {
 		t.Errorf("controllable = %d", funnel.Controllable)
 	}
-	sehRep, err := AnalyzeBrowserSEH(br, 13)
+	sehRep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +92,7 @@ func TestFormatTableI(t *testing.T) {
 	}
 	var reports []*SyscallReport
 	for _, srv := range servers[:2] { // nginx + cherokee keep the test quick
-		rep, err := AnalyzeServer(srv, 15)
+		rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +111,7 @@ func TestFormatTablesIIAndIII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserSEH(br, 16)
+	rep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +130,7 @@ func TestFormatFunnel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserAPIs(br, 17)
+	rep, err := runReport[*APIFunnelReport](Request{Pipeline: PipelineAPI, Browser: br, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,5 +146,14 @@ func TestTableISyscalls(t *testing.T) {
 	rows := TableISyscalls()
 	if len(rows) != 13 {
 		t.Errorf("Table I rows = %d, want 13", len(rows))
+	}
+	canEFAULT := map[string]bool{}
+	for _, s := range kernel.Specs() {
+		canEFAULT[s.Name] = s.CanEFAULT
+	}
+	for _, name := range rows {
+		if !canEFAULT[name] {
+			t.Errorf("Table I row %q is not an EFAULT-capable kernel spec row", name)
+		}
 	}
 }

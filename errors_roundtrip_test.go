@@ -74,8 +74,7 @@ func TestDegradedReportJSONRoundTrip(t *testing.T) {
 	var rep *SyscallReport
 	for seed := int64(1); seed <= 16 && rep == nil; seed++ {
 		for _, srv := range servers {
-			r, err := AnalyzeServer(srv, 42,
-				WithFaultPlan(DefaultFaultPlan(seed)), WithRetry(0))
+			r, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, FaultPlan: DefaultFaultPlan(seed)})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", srv.Name, seed, err)
 			}

@@ -148,14 +148,9 @@ type APIAnalyzer Runtime
 // single-shot harness process), and the final controllability stage fans
 // out per JS-context API (each replay builds its own environment). Both
 // stages write into index-addressed slices, keeping the funnel
-// byte-identical for any worker count.
-func (a *APIAnalyzer) Analyze(br *targets.Browser) (*APIFunnelReport, error) {
-	return a.AnalyzeContext(context.Background(), br)
-}
-
-// AnalyzeContext is Analyze with cancellation, checked between stages and
+// byte-identical for any worker count. ctx is checked between stages and
 // before each fuzzing or classification job.
-func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (*APIFunnelReport, error) {
+func (a *APIAnalyzer) Analyze(ctx context.Context, br *targets.Browser) (*APIFunnelReport, error) {
 	r := newRun((*Runtime)(a), "api", br.Name)
 	var apiParams []byte
 	if r.Cache != nil {

@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"context"
 	"testing"
 
 	"crashresist/internal/targets"
@@ -13,7 +14,7 @@ func TestAPIFunnelIE(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &APIAnalyzer{Seed: 5151}
-	rep, err := a.Analyze(br)
+	rep, err := a.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}

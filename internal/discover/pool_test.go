@@ -127,7 +127,7 @@ func TestSEHAnalyzeWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := &SEHAnalyzer{Seed: 42, Workers: 1}
-	want, err := base.Analyze(br)
+	want, err := base.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSEHAnalyzeWorkerInvariance(t *testing.T) {
 	want.Stats = nil
 	for _, workers := range []int{2, 4, 8} {
 		a := &SEHAnalyzer{Seed: 42, Workers: workers}
-		got, err := a.Analyze(br)
+		got, err := a.Analyze(context.Background(), br)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -155,14 +155,14 @@ func TestAPIAnalyzeWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := &APIAnalyzer{Seed: 42, Workers: 1}
-	want, err := base.Analyze(br)
+	want, err := base.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want.Stats = nil
 	for _, workers := range []int{2, 8} {
 		a := &APIAnalyzer{Seed: 42, Workers: workers}
-		got, err := a.Analyze(br)
+		got, err := a.Analyze(context.Background(), br)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -186,7 +186,7 @@ func TestSyscallAnalyzeWorkerInvariance(t *testing.T) {
 	seq := &SyscallAnalyzer{Seed: 42, Workers: 1}
 	var want []*SyscallReport
 	for _, srv := range servers {
-		rep, err := seq.Analyze(srv)
+		rep, err := seq.Analyze(context.Background(), srv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestSyscallAnalyzeWorkerInvariance(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		a := &SyscallAnalyzer{Seed: 42, Workers: workers}
-		got, err := a.AnalyzeAll(servers)
+		got, err := a.AnalyzeAll(context.Background(), servers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -223,7 +223,7 @@ func TestSEHCacheEffective(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &SEHAnalyzer{Seed: 42}
-	rep, err := a.Analyze(br)
+	rep, err := a.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,18 +120,13 @@ type sehSymexResult struct {
 
 // Analyze extracts every module's scope table, symbolically executes each
 // unique filter, runs an instrumented browse to collect coverage, and
-// cross-references the two.
-func (a *SEHAnalyzer) Analyze(br *targets.Browser) (*SEHReport, error) {
-	return a.AnalyzeContext(context.Background(), br)
-}
-
-// AnalyzeContext is Analyze with cancellation. The pipeline runs four
-// stages — browse, extract, symex, cross-ref. Only symex fans out: every
-// worker owns a private process environment and symbolic executor, sharing
-// only the memoizing filter cache, and results land in an index-addressed
-// slice keyed by module load order, so the report is byte-identical for
-// any worker count.
-func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (*SEHReport, error) {
+// cross-references the two, checking ctx between stages and before each
+// per-DLL symex job. Of the four stages — browse, extract, symex,
+// cross-ref — only symex fans out: every worker owns a private process
+// environment and symbolic executor, sharing only the memoizing filter
+// cache, and results land in an index-addressed slice keyed by module load
+// order, so the report is byte-identical for any worker count.
+func (a *SEHAnalyzer) Analyze(ctx context.Context, br *targets.Browser) (*SEHReport, error) {
 	r := newRun((*Runtime)(a), "seh", br.Name)
 
 	if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"context"
 	"testing"
 
 	"crashresist/internal/targets"
@@ -13,7 +14,7 @@ func TestSEHPipelineIE(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &SEHAnalyzer{Seed: 6161}
-	rep, err := a.Analyze(br)
+	rep, err := a.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSEHPipelineFirefoxVEHMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &SEHAnalyzer{Seed: 6262}
-	rep, err := a.Analyze(br)
+	rep, err := a.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestVEHScanExtensionFindsFirefoxHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &SEHAnalyzer{Seed: 6363}
-	rep, err := a.Analyze(br)
+	rep, err := a.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestVEHScanIEHasNone(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &SEHAnalyzer{Seed: 6464}
-	rep, err := a.Analyze(br)
+	rep, err := a.Analyze(context.Background(), br)
 	if err != nil {
 		t.Fatal(err)
 	}

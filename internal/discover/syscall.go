@@ -207,17 +207,12 @@ type SyscallAnalyzer Runtime
 
 // AnalyzeAll runs the pipeline for every server, fanning the servers out
 // across the worker pool. Reports are returned in input order and each is
-// identical to what a standalone Analyze(srv) would produce.
-func (a *SyscallAnalyzer) AnalyzeAll(servers []*targets.Server) ([]*SyscallReport, error) {
-	return a.AnalyzeAllContext(context.Background(), servers)
-}
-
-// AnalyzeAllContext is AnalyzeAll with cancellation: workers stop claiming
-// servers once ctx is done and the context error is returned.
-func (a *SyscallAnalyzer) AnalyzeAllContext(ctx context.Context, servers []*targets.Server) ([]*SyscallReport, error) {
+// identical to what a standalone Analyze would produce. Workers stop
+// claiming servers once ctx is done and the context error is returned.
+func (a *SyscallAnalyzer) AnalyzeAll(ctx context.Context, servers []*targets.Server) ([]*SyscallReport, error) {
 	reports := make([]*SyscallReport, len(servers))
 	err := runIndexed(ctx, a.Workers, len(servers), nil, func(i int) error {
-		rep, err := a.AnalyzeContext(ctx, servers[i])
+		rep, err := a.Analyze(ctx, servers[i])
 		if err != nil {
 			return err
 		}
@@ -233,14 +228,9 @@ func (a *SyscallAnalyzer) AnalyzeAllContext(ctx context.Context, servers []*targ
 // Analyze runs observation plus per-candidate validation for one server.
 // Validation replays are independent (each builds a fresh corrupted
 // environment), so they fan out across the worker pool; findings land in
-// candidate order and statuses merge sequentially afterwards.
-func (a *SyscallAnalyzer) Analyze(srv *targets.Server) (*SyscallReport, error) {
-	return a.AnalyzeContext(context.Background(), srv)
-}
-
-// AnalyzeContext is Analyze with cancellation, checked between stages and
-// before each validation replay.
-func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Server) (*SyscallReport, error) {
+// candidate order and statuses merge sequentially afterwards. ctx is
+// checked between stages and before each validation replay.
+func (a *SyscallAnalyzer) Analyze(ctx context.Context, srv *targets.Server) (*SyscallReport, error) {
 	r := newRun((*Runtime)(a), "syscall", srv.Name)
 	// Validation entries key on the server's marshaled image; an image that
 	// does not marshal runs uncached.

@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"context"
 	"testing"
 
 	"crashresist/internal/targets"
@@ -14,7 +15,7 @@ func analyzeServer(t *testing.T, name string) *SyscallReport {
 		t.Fatal(err)
 	}
 	a := &SyscallAnalyzer{Seed: 4242}
-	rep, err := a.Analyze(srv)
+	rep, err := a.Analyze(context.Background(), srv)
 	if err != nil {
 		t.Fatal(err)
 	}

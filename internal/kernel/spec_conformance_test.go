@@ -20,6 +20,7 @@ type specHarness struct {
 	t *vm.Thread
 
 	file, sock, conn, epfd uint64
+	listener               uint64
 	path, path2            uint64 // existing file "f", fresh name "g"
 	buf, hdr, event, addr  uint64
 }
@@ -76,15 +77,15 @@ func newSpecHarness(t *testing.T) *specHarness {
 
 	k.AddFile("f", []byte("file contents"))
 	h.file = h.ok(t, SysOpen, h.path, 0)
-	listener := h.ok(t, SysSocket)
-	h.ok(t, SysBind, listener, 80)
-	h.ok(t, SysListen, listener)
+	h.listener = h.ok(t, SysSocket)
+	h.ok(t, SysBind, h.listener, 80)
+	h.ok(t, SysListen, h.listener)
 	cc, err := k.Connect(80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc.Send([]byte("pending client bytes"))
-	h.conn = h.ok(t, SysAccept, listener, 0)
+	h.conn = h.ok(t, SysAccept, h.listener, 0)
 	h.sock = h.ok(t, SysSocket)
 	h.epfd = h.ok(t, SysEpollCreate)
 	return h
@@ -141,6 +142,20 @@ func (h *specHarness) validArgs(num uint64) ([]uint64, bool) {
 		return []uint64{h.path}, true
 	case SysSymlink:
 		return []uint64{h.path, h.path2}, true
+	case SysClose:
+		return []uint64{h.file}, true
+	case SysSocket, SysEpollCreate, SysGetpid:
+		return []uint64{}, true
+	case SysBind:
+		return []uint64{h.sock, 81}, true
+	case SysListen:
+		return []uint64{h.sock}, true
+	case SysAccept:
+		return []uint64{h.listener, 0}, true
+	case SysSigaction:
+		return []uint64{2, h.buf}, true
+	case SysNanosleep:
+		return []uint64{1}, true
 	}
 	return nil, false
 }
@@ -180,6 +195,42 @@ func TestSpecEFAULTConformance(t *testing.T) {
 				}
 				if got := h.k.Counts().EFAULTReturns; got != 1 {
 					t.Errorf("kernel counted %d EFAULT returns, want 1", got)
+				}
+			})
+		}
+	}
+}
+
+// TestSpecNoEFAULTConformance is the other half: a row that is not
+// EFAULT-capable never returns -EFAULT, whichever argument position
+// carries an unmapped pointer (the others valid). exit and exit_thread are
+// left out because they end the process or thread the harness issues its
+// calls from, and spawn_thread because it starts a thread at its
+// argument: an unmapped entry faults in the new thread, after the
+// syscall has returned.
+func TestSpecNoEFAULTConformance(t *testing.T) {
+	for _, spec := range Specs() {
+		switch spec.Num {
+		case SysExit, SysExitThread, SysSpawnThread:
+			continue
+		}
+		if spec.CanEFAULT {
+			continue
+		}
+		for i := 0; i < 5; i++ {
+			t.Run(fmt.Sprintf("%s/arg%d", spec.Name, i), func(t *testing.T) {
+				h := newSpecHarness(t)
+				args, ok := h.validArgs(spec.Num)
+				if !ok {
+					t.Fatalf("no valid-argument recipe for %s", spec.Name)
+				}
+				args = append(args, make([]uint64, 5-len(args))...)
+				args[i] = unmappedArg
+				if ret := h.call(spec.Num, args...); int64(ret) == -EFAULT {
+					t.Errorf("unmapped pointer in arg%d: ret = -EFAULT from a row that cannot EFAULT", i)
+				}
+				if got := h.k.Counts().EFAULTReturns; got != 0 {
+					t.Errorf("kernel counted %d EFAULT returns, want 0", got)
 				}
 			})
 		}

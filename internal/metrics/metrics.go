@@ -366,9 +366,9 @@ func NewCollector(pipeline, target string, workers int) *Collector {
 }
 
 // SetProgress installs a live progress callback. Events for one collector
-// are serialized; when multiple analyses run in parallel (AnalyzeServers),
-// each has its own collector, so the callback must tolerate interleaving
-// across runs (the public API wraps callbacks with a mutex).
+// are serialized; when multiple analyses run in parallel (a multi-server
+// run), each has its own collector, so the callback must tolerate
+// interleaving across runs (crashresist.Run wraps callbacks with a mutex).
 func (c *Collector) SetProgress(fn func(StageEvent)) {
 	if c == nil || fn == nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -74,12 +75,22 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads one JobSpec off a submission body: at most
+// maxSubmitBytes, unknown fields rejected.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("%w: decode body: %w", ErrBadRequest, err))
+		return spec, fmt.Errorf("%w: decode body: %w", ErrBadRequest, err)
+	}
+	return spec, nil
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	view, err := s.Submit(spec)

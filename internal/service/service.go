@@ -40,10 +40,6 @@ type Config struct {
 	// Cache, when set, is attached to every job that carries no cache of
 	// its own, so all tenants share one warm content-addressed store.
 	Cache *crashresist.AnalysisCache
-	// AllowCacheDir permits submissions to name a server-side cache_dir.
-	// Off by default: the service manages caching, and accepting paths
-	// from the wire would let tenants open arbitrary directories.
-	AllowCacheDir bool
 	// Registry, when set, receives every run's RunStats (the /metrics
 	// Prometheus families and /trace.json ring).
 	Registry *metrics.Registry
@@ -115,7 +111,7 @@ type job struct {
 	evClosed  bool
 }
 
-// onEvent is the job's WithProgress callback: append to the bounded
+// onEvent is the job's Request.Progress callback: append to the bounded
 // replay buffer and fan out to live subscribers (dropping per-subscriber
 // when a client cannot keep up).
 func (j *job) onEvent(ev metrics.StageEvent) {
@@ -247,13 +243,15 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		tenant = DefaultTenant
 	}
 	req := spec.Request
-	if req.CacheDir != "" && !s.cfg.AllowCacheDir {
+	if req.CacheDir != "" {
+		// The service manages caching; accepting paths from the wire
+		// would let tenants open arbitrary directories.
 		return JobView{}, fmt.Errorf("%w: cache_dir is not accepted here; the service manages caching", ErrBadRequest)
 	}
 	if err := req.Validate(); err != nil {
 		return JobView{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if req.Cache == nil && req.CacheDir == "" {
+	if req.Cache == nil {
 		req.Cache = s.cfg.Cache
 	}
 	if s.cfg.Registry != nil {

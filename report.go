@@ -2,10 +2,7 @@ package crashresist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"crashresist/internal/kernel"
 )
 
 // TableISyscalls lists Table I's 13 rows in the paper's (alphabetical)
@@ -17,19 +14,6 @@ func TableISyscalls() []string {
 		"chmod", "connect", "epoll_wait", "mkdir", "open", "read",
 		"recv", "recvfrom", "send", "sendmsg", "symlink", "unlink", "write",
 	}
-}
-
-// AllEFAULTSyscalls lists every syscall the kernel model can fail with
-// -EFAULT, beyond Table I's rows.
-func AllEFAULTSyscalls() []string {
-	var out []string
-	for _, s := range kernel.Specs() {
-		if s.CanEFAULT {
-			out = append(out, s.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FormatTableI renders the Table I matrix from per-server reports.

@@ -1,8 +1,7 @@
 package crashresist
 
-// The unified analysis entry point: one Request struct and one Run call
-// subsume the per-pipeline Analyze*Context variants. Request doubles as
-// the wire shape of the discovery service's job submissions (the
+// The analysis entry point: one Request struct and one Run call drive all
+// three pipelines. Request doubles as the wire shape of the discovery service's job submissions (the
 // serializable subset) — internal/service decodes a Request straight off
 // POST /v1/jobs — so library callers and API tenants share one surface.
 
@@ -10,8 +9,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
+	"crashresist/internal/cas"
 	"crashresist/internal/discover"
 	"crashresist/internal/targets"
 )
@@ -50,6 +51,11 @@ const (
 // attachments (pre-built targets, live callbacks, an open cache) that
 // never cross the wire. When both a wire field and its attachment are set,
 // the attachment wins.
+//
+// Report bytes depend only on the target, pipeline, scale, seed and fault
+// settings (ChaosSeed, FaultPlan, Retries). Workers, the cache and the
+// observers never change them: metrics, profiles and detect sections live
+// outside the report rows.
 type Request struct {
 	// Pipeline selects syscall, api or seh. Empty infers it from the
 	// target: servers run syscall, browsers run seh.
@@ -70,20 +76,30 @@ type Request struct {
 	// Seed fixes ASLR and every derived RNG; reports are byte-identical
 	// per seed at any worker count.
 	Seed int64 `json:"seed"`
-	// Workers bounds the analysis worker pool (0 = GOMAXPROCS).
+	// Workers bounds the analysis worker pool; <= 0 selects GOMAXPROCS.
+	// The worker count affects wall-clock time only, never report
+	// contents.
 	Workers int `json:"workers,omitempty"`
-	// Retries bounds per-job re-runs after transient failures (see
-	// WithRetry). With ChaosSeed set and Retries zero, 2 is used.
+	// Retries bounds per-job re-runs after a transient failure (n retries
+	// after the first attempt). Setting a retry budget — or any fault
+	// plan — switches job failures from aborting the analysis to
+	// degrading it: dropped jobs are recorded in the report's Degraded
+	// field. Backoff between attempts is virtual: deterministic ticks are
+	// counted in CtrBackoffTicks, no wall-clock sleeping happens. With
+	// ChaosSeed set and Retries zero, 2 is used; an attached FaultPlan
+	// takes Retries as given.
 	Retries int `json:"retries,omitempty"`
-	// StageTimeout bounds each fanned-out pipeline stage (see
-	// WithStageTimeout). Serialized in nanoseconds.
+	// StageTimeout bounds each fanned-out pipeline stage; a stage that
+	// exceeds it is cancelled and Run returns a context error. Zero means
+	// no limit. Serialized in nanoseconds.
 	StageTimeout time.Duration `json:"stage_timeout_ns,omitempty"`
 	// ChaosSeed, when non-zero, runs the analysis under the default fault
 	// plan seeded with it (chaos mode). Ignored when FaultPlan is attached.
 	ChaosSeed int64 `json:"chaos_seed,omitempty"`
-	// CacheDir roots a persistent analysis cache, degrading silently to an
-	// uncached run when unusable (see WithCacheDir). Ignored when Cache is
-	// attached.
+	// CacheDir roots a persistent analysis cache (OpenAnalysisCache),
+	// degrading silently to an uncached run when the directory is
+	// unusable. Callers that want to warn on a bad directory open it
+	// themselves and attach Cache. Ignored when Cache is attached.
 	CacheDir string `json:"cache_dir,omitempty"`
 	// IncludeProfile asks Run to cost-profile the analysis and embed the
 	// resulting ProfileSnapshot in the Result (and thus in the service's
@@ -102,28 +118,42 @@ type Request struct {
 	Servers []*ServerTarget `json:"-"`
 	// Browser attaches a pre-built browser target (api or seh pipeline).
 	Browser *BrowserTarget `json:"-"`
-	// FaultPlan attaches a fault injection plan (see WithFaultPlan).
+	// FaultPlan attaches a deterministic fault injection plan (chaos
+	// mode). Injected failures ride the normal error paths and degrade
+	// the affected jobs (see Retries); for a fixed plan seed the degraded
+	// set is identical at every worker count. Runs with a fault plan
+	// bypass the cache entirely.
 	FaultPlan *FaultPlan `json:"-"`
-	// Cache attaches an open persistent analysis cache (see WithCache).
+	// Cache attaches an open persistent analysis cache. Cached results
+	// are keyed by content hashes of their inputs (target bytes, seed,
+	// corruption address), so a changed input re-analyzes exactly the
+	// changed units. Caching never changes report bytes — only the
+	// cache_* counters in the report's Stats.
 	Cache *AnalysisCache `json:"-"`
-	// Profile attaches a live cost profile (see WithProfile). When set,
-	// the run charges into it; combined with IncludeProfile the Result
-	// also embeds its snapshot. When only IncludeProfile is set, Run
-	// profiles into a fresh private profile.
+	// Profile attaches a live cost profile. When set, the run charges
+	// its deterministic virtual costs into it; one profile may span
+	// several runs (charges accumulate), and for a fixed request it is
+	// identical at any worker count and with any cache state. Combined
+	// with IncludeProfile the Result also embeds its snapshot. When only
+	// IncludeProfile is set, Run profiles into a fresh private profile.
 	Profile *Profile `json:"-"`
-	// Detect attaches a live detection observer (see WithDetect). When
-	// set, the run streams into it; combined with IncludeDetect the Result
-	// also embeds its snapshot. When only IncludeDetect is set, Run
-	// watches with a fresh observer on the default calibration panel.
+	// Detect attaches a live detection observer fed the run's fault
+	// streams (benign baselines, per-primitive probe batteries, the
+	// run-level series the online detector watches); one observer may
+	// span several runs (sections accumulate per pipeline/target). The
+	// rendered section rides RunStats.Detect and is identical at any
+	// worker count and with any cache state. Combined with IncludeDetect
+	// the Result also embeds its snapshot. When only IncludeDetect is
+	// set, Run watches with a fresh observer on the default calibration
+	// panel.
 	Detect *Detect `json:"-"`
-	// Progress receives live StageEvents (see WithProgress).
+	// Progress receives live StageEvents as the pipeline moves through
+	// its stages. Invocations are serialized — even when a multi-server
+	// run interleaves events from parallel per-server runs — so the
+	// callback needs no locking of its own.
 	Progress func(StageEvent) `json:"-"`
-	// Sinks receive live events and the final RunStats (see WithSink).
+	// Sinks receive the run's live events and final RunStats.
 	Sinks []MetricSink `json:"-"`
-	// Options are functional options applied after — and therefore
-	// overriding — the fields above. They exist so the legacy
-	// Analyze*Context entry points can be thin wrappers over Run.
-	Options []Option `json:"-"`
 }
 
 // Result is Run's envelope: exactly one report field matching the resolved
@@ -217,57 +247,52 @@ func (r *Result) DegradedJobs() []Degraded {
 	return out
 }
 
-// options converts the request's declarative fields into the option list
-// the pipelines consume, with req.Options appended last so functional
-// options override fields.
-func (req Request) options() []Option {
-	opts := []Option{WithWorkers(req.Workers)}
-	retries := req.Retries
-	plan := req.FaultPlan
-	if plan == nil && req.ChaosSeed != 0 {
-		plan = DefaultFaultPlan(req.ChaosSeed)
+// runtime resolves the request's settings into the runtime the three
+// pipelines share.
+func (req Request) runtime() *discover.Runtime {
+	rt := &discover.Runtime{
+		Seed:         req.Seed,
+		Workers:      req.Workers,
+		Sinks:        req.Sinks,
+		FaultPlan:    req.FaultPlan,
+		Retries:      req.Retries,
+		StageTimeout: req.StageTimeout,
+		Cache:        req.Cache,
+		Profile:      req.Profile,
+		Detect:       req.Detect,
 	}
-	if plan != nil {
-		opts = append(opts, WithFaultPlan(plan))
-		if retries == 0 {
+	if rt.FaultPlan == nil && req.ChaosSeed != 0 {
+		rt.FaultPlan = DefaultFaultPlan(req.ChaosSeed)
+		if rt.Retries == 0 {
 			// Chaos without a retry budget degrades every injected fault
 			// into a dropped job; mirror the CLIs' default budget instead.
-			retries = 2
+			rt.Retries = 2
 		}
 	}
-	if retries != 0 {
-		opts = append(opts, WithRetry(retries))
+	if rt.Cache == nil && req.CacheDir != "" {
+		if c, err := cas.Open(req.CacheDir); err == nil {
+			rt.Cache = c
+		}
 	}
-	if req.StageTimeout != 0 {
-		opts = append(opts, WithStageTimeout(req.StageTimeout))
+	if fn := req.Progress; fn != nil {
+		// A multi-server run drives several collectors concurrently;
+		// serialize the user's callback across them.
+		var mu sync.Mutex
+		rt.Progress = func(ev StageEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			fn(ev)
+		}
 	}
-	switch {
-	case req.Cache != nil:
-		opts = append(opts, WithCache(req.Cache))
-	case req.CacheDir != "":
-		opts = append(opts, WithCacheDir(req.CacheDir))
-	}
-	if req.Profile != nil {
-		opts = append(opts, WithProfile(req.Profile))
-	}
-	if req.Detect != nil {
-		opts = append(opts, WithDetect(req.Detect))
-	}
-	if req.Progress != nil {
-		opts = append(opts, WithProgress(req.Progress))
-	}
-	for _, s := range req.Sinks {
-		opts = append(opts, WithSink(s))
-	}
-	return append(opts, req.Options...)
+	return rt
 }
 
 // Validate checks the request's declarative fields without building any
 // target: pipeline and scale selectors must be known, a target must be
 // named or attached, and the pipeline must suit the target kind. Run
-// performs the same checks; Validate exists so services can reject a bad
-// request before queueing it. Errors match ErrBadParams or
-// ErrUnknownServer via errors.Is.
+// calls it first; services call it to reject a bad request before
+// queueing it. Errors match ErrBadParams or ErrUnknownServer via
+// errors.Is.
 func (req Request) Validate() error {
 	switch req.Pipeline {
 	case "", PipelineSyscall, PipelineAPI, PipelineSEH:
@@ -312,21 +337,18 @@ func (req Request) Validate() error {
 	return nil
 }
 
-// browserParams resolves the request's Scale.
-func (req Request) browserParams() (BrowserParams, error) {
-	return BrowserParamsForScale(req.Scale)
-}
-
 // Run executes one analysis described by req and returns its result
-// envelope. It is the single entry point behind every pipeline — the
-// legacy Analyze*Context functions are thin wrappers over it — and the
+// envelope. It is the single entry point behind every pipeline and the
 // execution core of the discovery service's job API.
 //
 // Resolution rules: an attached Server/Servers/Browser wins over the
 // Target name; an empty Pipeline defaults to syscall for servers and seh
 // for browsers; Target "all" fans the syscall pipeline out over every
-// Table I server. Mismatches (a server target with the seh pipeline, an
-// unknown name) return errors matching ErrBadParams or ErrUnknownServer.
+// Table I server. Run checks req with Validate before building anything,
+// so mismatches (a server target with the seh pipeline, an unknown name)
+// return errors matching ErrBadParams or ErrUnknownServer. The pipelines
+// check ctx between stages and before each job, returning ctx.Err() once
+// it is done.
 //
 // Determinism contract: for a fixed request, the result's reports are
 // byte-identical (Stats aside) at any Workers value, with any cache state,
@@ -354,158 +376,71 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// run resolves and executes the request, leaving profile embedding to Run.
+// run validates, resolves and executes the request, leaving profile and
+// detect embedding to Run.
 func run(ctx context.Context, req Request) (*Result, error) {
-	opts := req.options()
-
-	// Scale gates every dispatch path (browser corpus size, generated
-	// fleet size), so reject unknown values before touching any target.
-	switch req.Scale {
-	case "", ScaleSmall, ScalePaper, ScaleLarge, ScaleMega:
-	default:
-		return nil, fmt.Errorf("%w: unknown scale %q (want small, paper, large or mega)", ErrBadParams, req.Scale)
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
-
-	// Attachment-mode requests.
+	rt := req.runtime()
+	res := &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: req.Target}
+	var err error
 	switch {
 	case req.Servers != nil:
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: pipeline %q cannot analyze server targets", ErrBadParams, req.Pipeline)
-		}
-		reports, err := analyzeServersContext(ctx, req.Servers, req.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		target := "all"
+		res.Target = "all"
 		if len(req.Servers) == 1 {
-			target = req.Servers[0].Name
+			res.Target = req.Servers[0].Name
 		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: target, Servers: reports}, nil
+		res.Servers, err = (*discover.SyscallAnalyzer)(rt).AnalyzeAll(ctx, req.Servers)
 	case req.Server != nil:
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: pipeline %q cannot analyze server targets", ErrBadParams, req.Pipeline)
-		}
-		rep, err := analyzeServerContext(ctx, req.Server, req.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: req.Server.Name, Syscall: rep}, nil
+		res.Target = req.Server.Name
+		res.Syscall, err = (*discover.SyscallAnalyzer)(rt).Analyze(ctx, req.Server)
 	case req.Browser != nil:
-		return runBrowser(ctx, req, req.Browser, req.Browser.Name, opts)
-	}
-
-	// Name-mode requests.
-	switch req.Target {
-	case "":
-		return nil, fmt.Errorf("%w: request names no target", ErrBadParams)
-	case "all":
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: target \"all\" runs the syscall pipeline, not %q", ErrBadParams, req.Pipeline)
-		}
-		servers, err := Servers()
-		if err != nil {
-			return nil, err
-		}
-		reports, err := analyzeServersContext(ctx, servers, req.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: "all", Servers: reports}, nil
-	case "gen":
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: target \"gen\" runs the syscall pipeline, not %q", ErrBadParams, req.Pipeline)
-		}
-		n, err := GenServerCount(req.Scale)
-		if err != nil {
-			return nil, err
-		}
-		servers, err := GenServers(DefaultGenSeed, n)
-		if err != nil {
-			return nil, err
-		}
-		reports, err := analyzeServersContext(ctx, servers, req.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: "gen", Servers: reports}, nil
-	case "ie", "firefox":
-		params, err := req.browserParams()
-		if err != nil {
-			return nil, err
-		}
-		var br *BrowserTarget
-		if req.Target == "ie" {
-			br, err = IE(params)
+		res.Target = req.Browser.Name
+		err = runBrowser(ctx, rt, req.Pipeline, req.Browser, res)
+	case req.Target == "all" || req.Target == "gen":
+		var servers []*ServerTarget
+		if req.Target == "all" {
+			servers, err = Servers()
 		} else {
-			br, err = Firefox(params)
+			n, _ := GenServerCount(req.Scale) // Validate checked the scale
+			servers, err = GenServers(DefaultGenSeed, n)
 		}
-		if err != nil {
-			return nil, err
+		if err == nil {
+			res.Servers, err = (*discover.SyscallAnalyzer)(rt).AnalyzeAll(ctx, servers)
 		}
-		return runBrowser(ctx, req, br, req.Target, opts)
+	case req.Target == "ie" || req.Target == "firefox":
+		build := IE
+		if req.Target == "firefox" {
+			build = Firefox
+		}
+		params, _ := BrowserParamsForScale(req.Scale) // Validate checked the scale
+		var br *BrowserTarget
+		if br, err = build(params); err == nil {
+			err = runBrowser(ctx, rt, req.Pipeline, br, res)
+		}
 	default:
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: pipeline %q needs a browser target, got %q", ErrBadParams, req.Pipeline, req.Target)
+		var srv *ServerTarget
+		if srv, err = Server(req.Target); err == nil {
+			res.Target = srv.Name
+			res.Syscall, err = (*discover.SyscallAnalyzer)(rt).Analyze(ctx, srv)
 		}
-		if idx, ok := targets.ParseGenServerRef(req.Target); ok {
-			if n, nerr := GenServerCount(req.Scale); nerr == nil && idx >= n {
-				return nil, fmt.Errorf("%w: generated server %q out of range at scale %q (fleet size %d)",
-					ErrBadParams, req.Target, req.Scale, n)
-			}
-		}
-		srv, err := Server(req.Target)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := analyzeServerContext(ctx, srv, req.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: srv.Name, Syscall: rep}, nil
 	}
-}
-
-// runBrowser dispatches a browser target to the api or seh pipeline.
-func runBrowser(ctx context.Context, req Request, br *BrowserTarget, target string, opts []Option) (*Result, error) {
-	pl := req.Pipeline
-	if pl == "" {
-		pl = PipelineSEH
+	if err != nil {
+		return nil, err
 	}
-	switch pl {
-	case PipelineAPI:
-		rep, err := analyzeBrowserAPIsContext(ctx, br, req.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineAPI, Target: target, Funnel: rep}, nil
-	case PipelineSEH:
-		rep, err := analyzeBrowserSEHContext(ctx, br, req.Seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineSEH, Target: target, SEH: rep}, nil
-	case PipelineSyscall:
-		return nil, fmt.Errorf("%w: the syscall pipeline needs a server target, got browser %q", ErrBadParams, target)
-	default:
-		return nil, fmt.Errorf("%w: unknown pipeline %q (want syscall, api or seh)", ErrBadParams, pl)
+	return res, nil
+}
+
+// runBrowser runs the api pipeline, or the seh pipeline by default, against
+// br and stores the report in res.
+func runBrowser(ctx context.Context, rt *discover.Runtime, pipeline string, br *BrowserTarget, res *Result) (err error) {
+	if pipeline == PipelineAPI {
+		res.Pipeline = PipelineAPI
+		res.Funnel, err = (*discover.APIAnalyzer)(rt).Analyze(ctx, br)
+		return err
 	}
-}
-
-// The pipeline cores, shared by Run and the legacy wrappers. Each resolves
-// the option set into the shared runtime and runs the matching analyzer.
-
-func analyzeServerContext(ctx context.Context, srv *ServerTarget, seed int64, opts []Option) (*SyscallReport, error) {
-	return (*discover.SyscallAnalyzer)(buildRuntime(seed, opts)).AnalyzeContext(ctx, srv)
-}
-
-func analyzeServersContext(ctx context.Context, servers []*ServerTarget, seed int64, opts []Option) ([]*SyscallReport, error) {
-	return (*discover.SyscallAnalyzer)(buildRuntime(seed, opts)).AnalyzeAllContext(ctx, servers)
-}
-
-func analyzeBrowserAPIsContext(ctx context.Context, br *BrowserTarget, seed int64, opts []Option) (*APIFunnelReport, error) {
-	return (*discover.APIAnalyzer)(buildRuntime(seed, opts)).AnalyzeContext(ctx, br)
-}
-
-func analyzeBrowserSEHContext(ctx context.Context, br *BrowserTarget, seed int64, opts []Option) (*SEHReport, error) {
-	return (*discover.SEHAnalyzer)(buildRuntime(seed, opts)).AnalyzeContext(ctx, br)
+	res.Pipeline = PipelineSEH
+	res.SEH, err = (*discover.SEHAnalyzer)(rt).Analyze(ctx, br)
+	return err
 }

@@ -149,7 +149,7 @@ func TestRunGenServerByRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := crashresist.AnalyzeServer(srv, 42)
+	direct, err := crashresist.Run(context.Background(), crashresist.Request{Server: srv, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +157,12 @@ func TestRunGenServerByRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaDirect, err := json.Marshal(stripStats(t, direct))
+	viaDirect, err := json.Marshal(stripStats(t, direct.Syscall))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(viaRun) != string(viaDirect) {
-		t.Error("Run(gen-1) report differs from direct AnalyzeServer")
+		t.Error("Run(gen-1) report differs from a run on the attached server")
 	}
 }
 

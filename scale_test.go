@@ -94,7 +94,7 @@ func TestScaleSEHProperties(t *testing.T) {
 
 	var rep *SEHReport
 	sweep(t, "seh-gen", func(workers int) (any, error) {
-		r, err := AnalyzeBrowserSEH(br, 42, WithWorkers(workers))
+		r, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: workers})
 		if err == nil && rep == nil {
 			rep = r
 		}
@@ -221,7 +221,7 @@ func TestScaleSyscallProperties(t *testing.T) {
 	var reports []*SyscallReport
 	var base []string
 	for _, workers := range []int{1, 4, 8} {
-		reps, err := AnalyzeServers(servers, 42, WithWorkers(workers))
+		reps, err := runReport[[]*SyscallReport](Request{Servers: servers, Seed: 42, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -281,7 +281,7 @@ func TestScaleAPIFunnelProperties(t *testing.T) {
 	}
 	var rep *APIFunnelReport
 	sweep(t, "api-gen", func(workers int) (any, error) {
-		r, err := AnalyzeBrowserAPIs(br, 42, WithWorkers(workers))
+		r, err := runReport[*APIFunnelReport](Request{Pipeline: PipelineAPI, Browser: br, Seed: 42, Workers: workers})
 		if err == nil && rep == nil {
 			rep = r
 		}
@@ -319,15 +319,15 @@ func TestScaleCacheEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	off, err := AnalyzeBrowserSEH(br, 42)
+	off, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := AnalyzeBrowserSEH(br, 42, WithCache(cache))
+	cold, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := AnalyzeBrowserSEH(br, 42, WithCache(cache))
+	warm, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,15 +351,15 @@ func TestScaleCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soff, err := AnalyzeServer(srv, 42)
+	soff, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scold, err := AnalyzeServer(srv, 42, WithCache(cache))
+	scold, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	swarm, err := AnalyzeServer(srv, 42, WithCache(cache))
+	swarm, err := runReport[*SyscallReport](Request{Server: srv, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,6 @@ func TestScaleChaosDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep(t, "chaos-gen", func(workers int) (any, error) {
-		return AnalyzeBrowserSEH(br, 42,
-			WithWorkers(workers), WithFaultPlan(DefaultFaultPlan(7)), WithRetry(2))
+		return runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: workers, ChaosSeed: 7})
 	})
 }

@@ -37,21 +37,21 @@ func TestLatencyHistogramsWorkerInvariant(t *testing.T) {
 
 	pipelines := map[string]func(workers int) (*RunStats, error){
 		"syscall": func(w int) (*RunStats, error) {
-			rep, err := AnalyzeServer(srv, 21, WithWorkers(w))
+			rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 21, Workers: w})
 			if err != nil {
 				return nil, err
 			}
 			return rep.Stats, nil
 		},
 		"api": func(w int) (*RunStats, error) {
-			rep, err := AnalyzeBrowserAPIs(br, 22, WithWorkers(w))
+			rep, err := runReport[*APIFunnelReport](Request{Pipeline: PipelineAPI, Browser: br, Seed: 22, Workers: w})
 			if err != nil {
 				return nil, err
 			}
 			return rep.Stats, nil
 		},
 		"seh": func(w int) (*RunStats, error) {
-			rep, err := AnalyzeBrowserSEH(br, 23, WithWorkers(w))
+			rep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 23, Workers: w})
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +109,7 @@ func TestProvenanceChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeServer(srv, 21)
+		rep, err := runReport[*SyscallReport](Request{Server: srv, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestProvenanceChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeBrowserAPIs(br, 22)
+		rep, err := runReport[*APIFunnelReport](Request{Pipeline: PipelineAPI, Browser: br, Seed: 22})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestProvenanceChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeBrowserSEH(br, 23)
+		rep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 23})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestProvenanceWorkerInvariant(t *testing.T) {
 	}
 	var want []PrimitiveProvenance
 	for _, workers := range []int{1, 4, 8} {
-		rep, err := AnalyzeBrowserSEH(br, 23, WithWorkers(workers))
+		rep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 23, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestRunSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserSEH(br, 23, WithWorkers(2))
+	rep, err := runReport[*SEHReport](Request{Pipeline: PipelineSEH, Browser: br, Seed: 23, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
