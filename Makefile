@@ -28,6 +28,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzGenServer -fuzztime=30s ./internal/targets
 	$(GO) test -fuzz=FuzzRateDetector -fuzztime=30s ./internal/defense
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/service
+	$(GO) test -fuzz=FuzzAddressSpaceOps -fuzztime=30s ./internal/mem
 
 # chaos runs the full paper-scale fault-injection sweep under the race
 # detector; tier-1 (`make test`/`make race`) only runs the trimmed sweep.

@@ -156,19 +156,13 @@ func (f *Fuzzer) runProbe(img *bin.Image, d *winapi.Descriptor, ptr uint64) (Out
 		return 0, 0, vm.Stats{}, err
 	}
 
-	args := make([]uint64, 5)
-	isPtr := make(map[int]bool, len(d.PtrArgs))
+	args := [5]uint64{1, 1, 1, 1, 1}
 	for _, ai := range d.PtrArgs {
-		isPtr[ai] = true
-	}
-	for i := 0; i < 5; i++ {
-		if isPtr[i] {
-			args[i] = ptr
-		} else {
-			args[i] = 1
+		if ai >= 0 && ai < len(args) {
+			args[ai] = ptr
 		}
 	}
-	if _, err := p.Start(args...); err != nil {
+	if _, err := p.Start(args[:]...); err != nil {
 		return 0, 0, vm.Stats{}, err
 	}
 	p.RunUntilIdle(100_000)

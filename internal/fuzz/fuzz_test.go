@@ -126,3 +126,22 @@ func TestOutcomeString(t *testing.T) {
 		t.Error("outcome strings wrong")
 	}
 }
+
+// BenchmarkFuzzOne runs the full invalid-pointer battery, one harness
+// process per probe, against one graceful and one crashing function.
+func BenchmarkFuzzOne(b *testing.B) {
+	r := winapi.NewRegistry()
+	r.Register(winapi.Descriptor{Name: "Graceful", NArgs: 3, PtrArgs: []int{1}, Cat: winapi.CatQueryStruct, Writes: true})
+	r.Register(winapi.Descriptor{Name: "Crashy", NArgs: 2, PtrArgs: []int{0, 1}, Cat: winapi.CatUserDeref})
+	graceful, _ := r.Lookup("Graceful")
+	crashy, _ := r.Lookup("Crashy")
+	f := New(r, 5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, d := range []*winapi.Descriptor{graceful, crashy} {
+			if _, err := f.FuzzOne(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -2,6 +2,17 @@
 // processes: 4 KiB pages, per-page R/W/X permissions, precise fault reporting,
 // and a seeded ASLR allocator.
 //
+// Pages are backed lazily: a mapped page has no storage until its first
+// write, and reads or instruction fetches of an unwritten page see one
+// shared zero page. Every page-number lookup goes through a small
+// direct-mapped translation cache in the AddressSpace, which remembers
+// hits only; Unmap clears it, and Protect edits the page it points to.
+//
+// Concurrency: an AddressSpace belongs to one goroutine. Reads are not
+// safe to share either, because a lookup updates the translation cache.
+// Separate allocators may run on separate goroutines at once; those with
+// the same seed share one draw stream, guarded by a mutex.
+//
 // Faults are ordinary error values (*Fault) rather than panics, so the VM,
 // the simulated kernel and analysis tooling can all distinguish "the access
 // hit unmapped memory" from "the access hit mapped memory with the wrong
@@ -13,6 +24,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the granularity of mappings and permissions.
@@ -102,20 +115,72 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("%s fault: %s at %#x", kind, f.Access, f.Addr)
 }
 
+// page is one mapped page. data stays nil until the first write, so a page
+// that is only ever read (untouched stack, BSS, guard space) costs no backing
+// store; reads of such a page see zeroPage.
 type page struct {
-	data [PageSize]byte
+	data *[PageSize]byte
 	perm Perm
 }
 
+// zeroPage backs every page that has not been written. Nothing writes it.
+var zeroPage [PageSize]byte
+
+// bytes returns the page contents for reading.
+func (p *page) bytes() *[PageSize]byte {
+	if p.data == nil {
+		return &zeroPage
+	}
+	return p.data
+}
+
+// writable returns the page contents for writing, backing the page first.
+func (p *page) writable() *[PageSize]byte {
+	if p.data == nil {
+		p.data = new([PageSize]byte)
+	}
+	return p.data
+}
+
+// tlbSize is the number of entries in the page-translation cache. It is
+// direct mapped on the low page-number bits, so an instruction page, a
+// stack page and a data page usually sit in separate entries.
+const tlbSize = 4
+
+// tlbEntry caches one page-number to page translation; p == nil marks an
+// empty entry.
+type tlbEntry struct {
+	pn uint64
+	p  *page
+}
+
 // AddressSpace is a sparse 64-bit paged address space. It is not safe for
-// concurrent use; the VM serializes all accesses.
+// concurrent use, not even for reads: every lookup, reads included, updates
+// the translation cache. The VM serializes all accesses.
 type AddressSpace struct {
 	pages map[uint64]*page // keyed by addr >> 12
+	tlb   [tlbSize]tlbEntry
 }
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{pages: make(map[uint64]*page)}
+}
+
+// lookup translates a page number to its page, or nil when it is unmapped.
+// Only hits are cached, so mapping a page needs no invalidation; Unmap
+// clears the cache, and Protect edits the shared *page a cached entry
+// points to.
+func (as *AddressSpace) lookup(pn uint64) *page {
+	e := &as.tlb[pn%tlbSize]
+	if e.p != nil && e.pn == pn {
+		return e.p
+	}
+	p := as.pages[pn]
+	if p != nil {
+		*e = tlbEntry{pn: pn, p: p}
+	}
+	return p
 }
 
 // Map creates pages covering [addr, addr+length) with the given permission.
@@ -130,7 +195,7 @@ func (as *AddressSpace) Map(addr, length uint64, perm Perm) error {
 	}
 	first, n := addr/PageSize, length/PageSize
 	for i := uint64(0); i < n; i++ {
-		if _, ok := as.pages[first+i]; ok {
+		if as.lookup(first+i) != nil {
 			return fmt.Errorf("map %#x+%#x: overlaps existing page %#x", addr, length, (first+i)*PageSize)
 		}
 	}
@@ -150,6 +215,7 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 	for i := uint64(0); i < n; i++ {
 		delete(as.pages, first+i)
 	}
+	as.tlb = [tlbSize]tlbEntry{}
 	return nil
 }
 
@@ -161,27 +227,26 @@ func (as *AddressSpace) Protect(addr, length uint64, perm Perm) error {
 	}
 	first, n := addr/PageSize, length/PageSize
 	for i := uint64(0); i < n; i++ {
-		if _, ok := as.pages[first+i]; !ok {
+		if as.lookup(first+i) == nil {
 			return &Fault{Addr: (first + i) * PageSize, Access: AccessWrite, Unmapped: true}
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		as.pages[first+i].perm = perm
+		as.lookup(first + i).perm = perm
 	}
 	return nil
 }
 
 // Mapped reports whether addr lies on a mapped page.
 func (as *AddressSpace) Mapped(addr uint64) bool {
-	_, ok := as.pages[addr/PageSize]
-	return ok
+	return as.lookup(addr/PageSize) != nil
 }
 
 // PermAt returns the permission of the page containing addr, and whether the
 // page is mapped.
 func (as *AddressSpace) PermAt(addr uint64) (Perm, bool) {
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
+	p := as.lookup(addr / PageSize)
+	if p == nil {
 		return 0, false
 	}
 	return p.perm, true
@@ -200,8 +265,8 @@ func (as *AddressSpace) Check(addr, length uint64, access Access) error {
 		return &Fault{Addr: addr, Access: access, Unmapped: true}
 	}
 	for pg := addr / PageSize; pg <= end/PageSize; pg++ {
-		p, ok := as.pages[pg]
-		if !ok {
+		p := as.lookup(pg)
+		if p == nil {
 			return &Fault{Addr: maxU64(pg*PageSize, addr), Access: access, Unmapped: true}
 		}
 		if p.perm&need == 0 {
@@ -250,7 +315,7 @@ func (as *AddressSpace) WriteForce(addr uint64, data []byte) error {
 	}
 	end := addr + length - 1
 	for pg := addr / PageSize; pg <= end/PageSize; pg++ {
-		if _, ok := as.pages[pg]; !ok {
+		if as.lookup(pg) == nil {
 			return &Fault{Addr: pg * PageSize, Access: AccessWrite, Unmapped: true}
 		}
 	}
@@ -287,28 +352,26 @@ func (as *AddressSpace) FetchExec(addr uint64, max int, buf []byte) ([]byte, err
 	if max <= 0 {
 		return nil, nil
 	}
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
+	p := as.lookup(addr / PageSize)
+	if p == nil {
 		return nil, &Fault{Addr: addr, Access: AccessExec, Unmapped: true}
 	}
 	if p.perm&PermExec == 0 {
 		return nil, &Fault{Addr: addr, Access: AccessExec}
 	}
 	buf = buf[:0]
-	for len(buf) < max {
-		p, ok := as.pages[addr/PageSize]
-		if !ok || p.perm&PermExec == 0 {
-			break
-		}
+	for {
 		off := addr % PageSize
-		take := PageSize - off
-		if int(take) > max-len(buf) {
-			take = uint64(max - len(buf))
-		}
-		buf = append(buf, p.data[off:off+take]...)
+		take := min(PageSize-off, uint64(max-len(buf)))
+		buf = append(buf, p.bytes()[off:off+take]...)
 		addr += take
+		if len(buf) == max {
+			return buf, nil
+		}
+		if p = as.lookup(addr / PageSize); p == nil || p.perm&PermExec == 0 {
+			return buf, nil
+		}
 	}
-	return buf, nil
 }
 
 // Regions returns the mapped regions as sorted (addr, length, perm) triples,
@@ -356,9 +419,9 @@ func (r Region) Contains(addr uint64) bool {
 
 func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 	for len(buf) > 0 {
-		p := as.pages[addr/PageSize]
+		p := as.lookup(addr / PageSize)
 		off := addr % PageSize
-		n := copy(buf, p.data[off:])
+		n := copy(buf, p.bytes()[off:])
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -366,9 +429,9 @@ func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 
 func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 	for len(data) > 0 {
-		p := as.pages[addr/PageSize]
+		p := as.lookup(addr / PageSize)
 		off := addr % PageSize
-		n := copy(p.data[off:], data)
+		n := copy(p.writable()[off:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -386,6 +449,7 @@ func maxU64(a, b uint64) uint64 {
 // experiment in this repository is reproducible.
 type Allocator struct {
 	rng  *rand.Rand
+	cur  cursor
 	as   *AddressSpace
 	low  uint64
 	high uint64
@@ -393,13 +457,92 @@ type Allocator struct {
 
 // NewAllocator creates an allocator placing mappings inside [low, high) of
 // the given address space. low and high must be page aligned.
+//
+// The allocator draws exactly the values rand.NewSource(seed) yields, but
+// allocators with the same seed share one stream of those draws, so a seed
+// is expanded once however many processes use it.
 func NewAllocator(as *AddressSpace, low, high uint64, seed int64) *Allocator {
-	return &Allocator{
-		rng:  rand.New(rand.NewSource(seed)),
+	a := &Allocator{
+		cur:  cursor{s: streamFor(seed)},
 		as:   as,
 		low:  low,
 		high: high,
 	}
+	a.rng = rand.New(&a.cur)
+	return a
+}
+
+// streamCap bounds the draws a shared stream records. A cursor that reads
+// past it continues on a private source, so a long-lived process that keeps
+// allocating does not grow the shared stream.
+const streamCap = 4096
+
+// drawStream is the append-only sequence of Int63 draws of one
+// rand.NewSource(seed). Drawn values never change, so a cursor may read a
+// snapshot of draws without the lock.
+type drawStream struct {
+	seed  int64
+	mu    sync.Mutex
+	src   rand.Source
+	draws []int64
+}
+
+// lastStream holds the most recently used seed's stream. A different seed
+// replaces it rather than joining a map, so memory stays bounded however
+// many seeds a long-running service sees; a miss costs one NewSource, as an
+// allocator without sharing would.
+var lastStream atomic.Pointer[drawStream]
+
+func streamFor(seed int64) *drawStream {
+	if s := lastStream.Load(); s != nil && s.seed == seed {
+		return s
+	}
+	s := &drawStream{seed: seed, src: rand.NewSource(seed)}
+	lastStream.Store(s)
+	return s
+}
+
+// through returns the draws with index n included, drawing as needed.
+func (s *drawStream) through(n int) []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.draws) <= n {
+		s.draws = append(s.draws, s.src.Int63())
+	}
+	return s.draws
+}
+
+// cursor is one allocator's rand.Source: it replays its stream from the
+// first draw, then continues on a private source past streamCap.
+type cursor struct {
+	s    *drawStream
+	seen []int64 // snapshot of s.draws
+	next int
+	own  rand.Source
+}
+
+func (c *cursor) Int63() int64 {
+	if c.own != nil {
+		return c.own.Int63()
+	}
+	if c.next == len(c.seen) {
+		if c.next == streamCap {
+			c.own = rand.NewSource(c.s.seed)
+			for range streamCap {
+				c.own.Int63()
+			}
+			return c.own.Int63()
+		}
+		c.seen = c.s.through(c.next)
+	}
+	v := c.seen[c.next]
+	c.next++
+	return v
+}
+
+// Seed restarts the cursor on seed's stream, as reseeding a source would.
+func (c *cursor) Seed(seed int64) {
+	*c = cursor{s: streamFor(seed)}
 }
 
 // Alloc maps length bytes (rounded up to pages) at a randomized address and
