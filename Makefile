@@ -22,7 +22,6 @@ race:
 fuzz-short:
 	$(GO) test -fuzz=FuzzDecodeRoundTrip -fuzztime=30s ./internal/isa
 	$(GO) test -fuzz=FuzzImageParse -fuzztime=30s ./internal/bin
-	$(GO) test -fuzz=FuzzScopeTableParse -fuzztime=30s ./internal/seh
 	$(GO) test -fuzz=FuzzCacheEntryDecode -fuzztime=30s ./internal/cas
 	$(GO) test -fuzz=FuzzGenDLL -fuzztime=30s ./internal/targets
 	$(GO) test -fuzz=FuzzGenServer -fuzztime=30s ./internal/targets

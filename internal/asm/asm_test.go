@@ -58,7 +58,8 @@ func TestBranchResolution(t *testing.T) {
 		offsets[l.Offset] = true
 	}
 	for _, l := range lines {
-		if l.Ins.IsCond() || l.Ins.Op == isa.OpJmp {
+		switch l.Ins.Op {
+		case isa.OpJmp, isa.OpJz, isa.OpJnz, isa.OpJl, isa.OpJge, isa.OpJle, isa.OpJg, isa.OpJb, isa.OpJae:
 			dst := l.Offset + l.Ins.Size() + int(l.Ins.Disp)
 			if !offsets[dst] {
 				t.Errorf("branch at %d targets %d: not an instruction boundary", l.Offset, dst)

@@ -24,6 +24,12 @@ func FuzzImageParse(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("CRX1"))
+	if data, err := Marshal(testImage(f)); err == nil {
+		f.Add(data)
+	}
+	for _, tc := range scopeTableRejects(f) {
+		f.Add(tc.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Unmarshal(data)

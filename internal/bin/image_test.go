@@ -2,6 +2,7 @@ package bin
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -11,18 +12,21 @@ import (
 
 // testImage builds a small valid image: a function at 0 that loads from a
 // pointer held in data, a filter at filterOff, plus a guarded region.
-func testImage(t *testing.T) *Image {
+func testImage(t testing.TB) *Image {
 	t.Helper()
-	text, err := isa.EncodeAll([]isa.Instruction{
+	var text []byte
+	for _, ins := range []isa.Instruction{
 		{Op: isa.OpNop}, // 0
 		{Op: isa.OpLoad8, A: isa.R0, B: isa.R1, Disp: 0}, // 1 (guarded)
 		{Op: isa.OpRet}, // 8
 		// filter at offset 9: return 1
 		{Op: isa.OpMovRI, A: isa.R0, Imm: 1}, // 9
 		{Op: isa.OpRet},                      // 19
-	})
-	if err != nil {
-		t.Fatal(err)
+	} {
+		var err error
+		if text, err = isa.Encode(text, ins); err != nil {
+			t.Fatal(err)
+		}
 	}
 	img := &Image{
 		Name:    "test.dll",
@@ -287,6 +291,53 @@ func TestUnmarshalRejectsTruncation(t *testing.T) {
 		if _, err := Unmarshal(blob[:cut]); err == nil {
 			t.Errorf("Unmarshal of %d/%d bytes should fail", cut, len(blob))
 		}
+	}
+}
+
+// scopeTableRejects returns hostile variants of testImage's CRX encoding,
+// which ends in its scope table: a u32 count, then one five-u32 record
+// (Func, Begin, End, Filter, Target). The decoder must reject each one.
+func scopeTableRejects(t testing.TB) []struct {
+	name string
+	data []byte
+} {
+	t.Helper()
+	valid, err := Marshal(testImage(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := len(valid) - 24 // offset of the scope count
+	rec := count + 4         // offset of the scope record
+	patch := func(off int, v uint32) []byte {
+		out := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	inverted := patch(rec+4, 8)
+	binary.LittleEndian.PutUint32(inverted[rec+8:], 1)
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"short count", valid[:count+2]},
+		{"count exceeds input", patch(count, 0xffffffff)},
+		{"truncated entry", valid[:len(valid)-1]},
+		{"trailing byte", append(append([]byte(nil), valid...), 0)},
+		{"inverted range", inverted},
+		{"filter outside text", patch(rec+12, 9999)},
+	}
+}
+
+// TestUnmarshalRejects holds the scope-table tail of the CRX decoder to a
+// strict layout: a count the input can hold, whole records, no trailing
+// bytes, and only ranges and filters that Validate accepts.
+func TestUnmarshalRejects(t *testing.T) {
+	for _, tc := range scopeTableRejects(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			if img, err := Unmarshal(tc.data); err == nil {
+				t.Errorf("Unmarshal accepted %s: scopes %+v", tc.name, img.Scopes)
+			}
+		})
 	}
 }
 

@@ -133,6 +133,9 @@ func Unmarshal(data []byte) (*Image, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("unmarshal: %w", r.err)
 	}
+	if n := len(data) - r.off; n != 0 {
+		return nil, fmt.Errorf("unmarshal: %d trailing bytes after %d scopes", n, nScope)
+	}
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("unmarshal: %w", err)
 	}

@@ -356,8 +356,10 @@ type browseObservation struct {
 	args   map[string]argObservation
 }
 
-// apiArgTracer extends the generic recorder with pointer-argument capture
-// at API call sites.
+// apiArgTracer extends the generic recorder (coverage and the exception
+// log) with the API harvest: which APIs the browse calls, which of them are
+// called from the JavaScript context, and each API's first pointer
+// argument with its taint provenance.
 type apiArgTracer struct {
 	*trace.Recorder
 
@@ -367,15 +369,16 @@ type apiArgTracer struct {
 	obs   *browseObservation
 }
 
-// OnAPICall records the first observation of each API's first pointer arg.
-func (a *apiArgTracer) OnAPICall(t *vm.Thread, callPC uint64, id uint32) {
-	a.Recorder.OnAPICall(t, callPC, id)
+// OnAPICall records the call, its JS-context tag and the first observation
+// of the API's first pointer arg.
+func (a *apiArgTracer) OnAPICall(t *vm.Thread, _ uint64, id uint32) {
 	d, ok := a.reg.ByID(id)
 	if !ok {
 		return
 	}
 	a.obs.called[d.Name] = true
-	if a.stackInJS(t) {
+	// One JS-context call tags the API; later calls skip the stack walk.
+	if !a.obs.fromJS[d.Name] && a.stackInJS(t) {
 		a.obs.fromJS[d.Name] = true
 	}
 	if _, seen := a.obs.args[d.Name]; seen || len(d.PtrArgs) == 0 {
@@ -474,8 +477,6 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 	te.Attach(env.Proc)
 
 	rec := trace.NewRecorder()
-	rec.EnableAPIHarvest()
-	rec.AddContextModule("jscript9.dll")
 	if r.Detect != nil {
 		rec.EnableExceptionLog()
 	}

@@ -76,3 +76,45 @@ func TestExclusionReasonStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveBrowseTagsJSContext checks the API harvest on the pipeline's
+// own browse: every JS-context API is called and tagged as called from the
+// scripting context, and every other on-path API is called but never
+// tagged.
+func TestObserveBrowseTagsJSContext(t *testing.T) {
+	br, err := targets.IE(targets.SmallBrowserParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRun(&Runtime{Seed: 900}, "api", br.Name)
+	span := r.col.StartStage("harvest", 0)
+	obs, err := r.observeBrowse(br, span)
+	span.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	isJS := make(map[string]bool, len(br.JSAPIs))
+	for _, js := range br.JSAPIs {
+		isJS[js.API] = true
+		if !obs.called[js.API] || !obs.fromJS[js.API] {
+			t.Errorf("JS API %s: called=%v fromJS=%v, want both", js.API, obs.called[js.API], obs.fromJS[js.API])
+		}
+	}
+	nonJS := 0
+	for _, api := range br.PathAPIs {
+		if isJS[api] {
+			continue
+		}
+		nonJS++
+		if !obs.called[api] {
+			t.Errorf("path API %s never called", api)
+		}
+		if obs.fromJS[api] {
+			t.Errorf("non-JS API %s wrongly tagged as JS context", api)
+		}
+	}
+	if len(br.JSAPIs) == 0 || nonJS == 0 {
+		t.Fatalf("plan has %d JS and %d non-JS path APIs; both must be non-empty", len(br.JSAPIs), nonJS)
+	}
+}

@@ -12,8 +12,6 @@
 package fuzz
 
 import (
-	"fmt"
-
 	"crashresist/internal/asm"
 	"crashresist/internal/bin"
 	"crashresist/internal/faultinject"
@@ -74,15 +72,6 @@ type FuncResult struct {
 	Stats vm.Stats
 }
 
-// Summary aggregates a corpus-wide fuzzing campaign — the first three
-// stages of the paper's §V-B funnel.
-type Summary struct {
-	Total          int // functions in the corpus
-	WithPointer    int // functions with ≥1 documented pointer argument
-	CrashResistant int // functions surviving the whole battery
-	Results        []FuncResult
-}
-
 // Fuzzer drives probe campaigns against an API registry.
 type Fuzzer struct {
 	reg  *winapi.Registry
@@ -99,26 +88,6 @@ type Fuzzer struct {
 // ASLR only.
 func New(reg *winapi.Registry, seed int64) *Fuzzer {
 	return &Fuzzer{reg: reg, seed: seed}
-}
-
-// FuzzAll probes every pointer-taking function in the registry.
-func (f *Fuzzer) FuzzAll() (Summary, error) {
-	sum := Summary{Total: f.reg.Len()}
-	for _, d := range f.reg.All() {
-		if !d.HasPointerArg() {
-			continue
-		}
-		sum.WithPointer++
-		res, err := f.FuzzOne(d)
-		if err != nil {
-			return Summary{}, fmt.Errorf("fuzz %s: %w", d.Name, err)
-		}
-		if res.CrashResistant {
-			sum.CrashResistant++
-		}
-		sum.Results = append(sum.Results, res)
-	}
-	return sum, nil
 }
 
 // FuzzOne runs the invalid-pointer battery against one function.

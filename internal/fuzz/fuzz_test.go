@@ -63,13 +63,39 @@ func TestFuzzOneCrashy(t *testing.T) {
 	}
 }
 
+// fuzzSummary is the first three stages of the paper's §V-B funnel over a
+// whole registry: corpus size, pointer-taking functions, and those that
+// survive the battery.
+type fuzzSummary struct {
+	Total, WithPointer, CrashResistant int
+	Results                            []FuncResult
+}
+
+// fuzzAll probes every pointer-taking function in the registry, in registry
+// order.
+func fuzzAll(t *testing.T, f *Fuzzer) fuzzSummary {
+	t.Helper()
+	sum := fuzzSummary{Total: f.reg.Len()}
+	for _, d := range f.reg.All() {
+		if !d.HasPointerArg() {
+			continue
+		}
+		sum.WithPointer++
+		res, err := f.FuzzOne(d)
+		if err != nil {
+			t.Fatalf("fuzz %s: %v", d.Name, err)
+		}
+		if res.CrashResistant {
+			sum.CrashResistant++
+		}
+		sum.Results = append(sum.Results, res)
+	}
+	return sum
+}
+
 func TestFuzzAllSummary(t *testing.T) {
 	r := smallRegistry(t)
-	f := New(r, 5)
-	sum, err := f.FuzzAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := fuzzAll(t, New(r, 5))
 	if sum.Total != 5 {
 		t.Errorf("Total = %d", sum.Total)
 	}
@@ -97,11 +123,7 @@ func TestFuzzAllOnGeneratedCorpusSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(reg, 6)
-	sum, err := f.FuzzAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := fuzzAll(t, New(reg, 6))
 	if sum.Total != 200 || sum.WithPointer != 120 {
 		t.Errorf("funnel head = %d/%d", sum.Total, sum.WithPointer)
 	}

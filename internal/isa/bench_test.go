@@ -31,7 +31,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	enc, err := EncodeAll(benchProgram())
+	enc, err := encodeAll(benchProgram())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 func BenchmarkDisassemble(b *testing.B) {
-	enc, err := EncodeAll(benchProgram())
+	enc, err := encodeAll(benchProgram())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -114,21 +114,6 @@ func Decode(buf []byte) (Instruction, int, error) {
 	return ins, size, nil
 }
 
-// EncodeAll encodes a sequence of instructions into a fresh byte slice.
-func EncodeAll(prog []Instruction) ([]byte, error) {
-	var (
-		out []byte
-		err error
-	)
-	for i, ins := range prog {
-		out, err = Encode(out, ins)
-		if err != nil {
-			return nil, fmt.Errorf("instruction %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
 // DecodeAll decodes instructions until buf is exhausted.
 func DecodeAll(buf []byte) ([]Instruction, error) {
 	var out []Instruction

@@ -250,26 +250,6 @@ type Instruction struct {
 // Size returns the encoded size of the instruction in bytes.
 func (i Instruction) Size() int { return LayoutOf(i.Op).Size() }
 
-// IsBranch reports whether the instruction may transfer control somewhere
-// other than the next instruction.
-func (i Instruction) IsBranch() bool {
-	switch i.Op {
-	case OpJmp, OpJz, OpJnz, OpJl, OpJge, OpJle, OpJg, OpJb, OpJae,
-		OpCall, OpCallR, OpCallI, OpJmpR, OpRet, OpHalt, OpRaise:
-		return true
-	}
-	return false
-}
-
-// IsCond reports whether the instruction is a conditional branch.
-func (i Instruction) IsCond() bool {
-	switch i.Op {
-	case OpJz, OpJnz, OpJl, OpJge, OpJle, OpJg, OpJb, OpJae:
-		return true
-	}
-	return false
-}
-
 // LoadSize returns the access width in bytes of a load opcode, or 0.
 func (i Instruction) LoadSize() int {
 	switch i.Op {

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -178,7 +179,7 @@ func TestEncodeAllDecodeAll(t *testing.T) {
 		{Op: OpSyscall},
 		{Op: OpHalt},
 	}
-	enc, err := EncodeAll(prog)
+	enc, err := encodeAll(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestEncodeAllDecodeAll(t *testing.T) {
 }
 
 func TestDecodeAllReportsOffset(t *testing.T) {
-	enc, err := EncodeAll([]Instruction{{Op: OpNop}, {Op: OpNop}})
+	enc, err := encodeAll([]Instruction{{Op: OpNop}, {Op: OpNop}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,15 +249,6 @@ func TestQuickEncodeDecode(t *testing.T) {
 }
 
 func TestInstructionPredicates(t *testing.T) {
-	if !(Instruction{Op: OpJmp}).IsBranch() || !(Instruction{Op: OpRet}).IsBranch() {
-		t.Error("jmp and ret are branches")
-	}
-	if (Instruction{Op: OpAddRR}).IsBranch() {
-		t.Error("add is not a branch")
-	}
-	if !(Instruction{Op: OpJz}).IsCond() || (Instruction{Op: OpJmp}).IsCond() {
-		t.Error("jz is conditional, jmp is not")
-	}
 	if got := (Instruction{Op: OpLoad4}).LoadSize(); got != 4 {
 		t.Errorf("load4 size = %d, want 4", got)
 	}
@@ -269,7 +261,7 @@ func TestInstructionPredicates(t *testing.T) {
 }
 
 func TestDisassemble(t *testing.T) {
-	enc, err := EncodeAll([]Instruction{
+	enc, err := encodeAll([]Instruction{
 		{Op: OpMovRI, A: R1, Imm: 0x10},
 		{Op: OpLoad8, A: R0, B: R1, Disp: 8},
 		{Op: OpHalt},
@@ -293,7 +285,7 @@ func TestDisassembleStopsAtGarbage(t *testing.T) {
 }
 
 func TestScan(t *testing.T) {
-	enc, err := EncodeAll([]Instruction{{Op: OpNop}, {Op: OpRet}})
+	enc, err := encodeAll([]Instruction{{Op: OpNop}, {Op: OpRet}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,4 +317,19 @@ func TestInstructionStringForms(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got, tt.want)
 		}
 	}
+}
+
+// encodeAll encodes a sequence of instructions into a fresh byte slice.
+func encodeAll(prog []Instruction) ([]byte, error) {
+	var (
+		out []byte
+		err error
+	)
+	for i, ins := range prog {
+		out, err = Encode(out, ins)
+		if err != nil {
+			return nil, fmt.Errorf("instruction %d: %w", i, err)
+		}
+	}
+	return out, nil
 }

@@ -170,11 +170,6 @@ type Observer interface {
 	SyscallExit(ev Event, ret uint64)
 }
 
-// ArgRewriter may mutate syscall arguments at entry; the discovery
-// pipeline's validation monitor uses this to invalidate pointer arguments,
-// mirroring the paper's libdft monitor commands.
-type ArgRewriter func(t *vm.Thread, num uint64, args *[5]uint64)
-
 // Kernel implements vm.SyscallHandler for one process.
 type Kernel struct {
 	proc *vm.Process
@@ -188,7 +183,6 @@ type Kernel struct {
 	fs map[string][]byte
 
 	observer Observer
-	rewrite  ArgRewriter
 	plan     *faultinject.Plan
 
 	counts Counts
@@ -256,18 +250,9 @@ func (k *Kernel) SetObserver(o Observer) { k.observer = o }
 // to real pointer validation.
 func (k *Kernel) SetFaultPlan(p *faultinject.Plan) { k.plan = p }
 
-// SetArgRewriter installs an argument rewriter.
-func (k *Kernel) SetArgRewriter(f ArgRewriter) { k.rewrite = f }
-
 // AddFile installs a file in the in-memory filesystem.
 func (k *Kernel) AddFile(path string, contents []byte) {
 	k.fs[path] = append([]byte(nil), contents...)
-}
-
-// FileContents returns a filesystem file's contents.
-func (k *Kernel) FileContents(path string) ([]byte, bool) {
-	c, ok := k.fs[path]
-	return c, ok
 }
 
 var _ vm.SyscallHandler = (*Kernel)(nil)
@@ -278,9 +263,6 @@ func (k *Kernel) Syscall(p *vm.Process, t *vm.Thread) {
 	var args [5]uint64
 	for i := 0; i < 5; i++ {
 		args[i] = t.Regs[1+i]
-	}
-	if k.rewrite != nil {
-		k.rewrite(t, num, &args)
 	}
 	k.counts.Dispatched++
 	spec, _ := SpecFor(num)

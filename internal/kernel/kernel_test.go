@@ -481,31 +481,6 @@ func TestObserverSeesSyscalls(t *testing.T) {
 	}
 }
 
-func TestArgRewriterInvalidatesPointer(t *testing.T) {
-	p, k := buildLinuxProc(t, func(b *asm.Builder) {
-		b.Func("main").Entry("main")
-		b.LeaData(isa.R1, "path") // valid pointer
-		emitSyscall(b, SysAccess)
-		b.MovRR(isa.R1, isa.R0)
-		emitSyscall(b, SysExit)
-		b.EndFunc()
-		b.Data("path", []byte("/x\x00"))
-	})
-	k.AddFile("/x", nil)
-	k.SetArgRewriter(func(_ *vm.Thread, num uint64, args *[5]uint64) {
-		if num == SysAccess {
-			args[0] = 0xdead0000
-		}
-	})
-	if _, err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p.RunUntilIdle(1_000_000)
-	if int64(p.ExitCode) != -EFAULT {
-		t.Errorf("rewritten access ret = %d, want -EFAULT", int64(p.ExitCode))
-	}
-}
-
 // TestSpecsTableIComplete pins the EFAULT-capable rows: the 13 syscalls
 // of the paper's Table I plus the model's two extras, access and
 // epoll_ctl, which validate a pointer too but are not among the table's
@@ -649,5 +624,31 @@ func TestSendmsgEFAULTOnHeader(t *testing.T) {
 	p.RunUntilIdle(1_000_000)
 	if int64(p.ExitCode) != -EFAULT {
 		t.Errorf("sendmsg ret = %d, want -EFAULT", int64(p.ExitCode))
+	}
+}
+
+// TestSyscallDispatchAllocs pins Kernel.Syscall's own heap cost at zero: a
+// getpid dispatch allocates exactly what its SpecFor lookup allocates
+// (SpecFor builds the spec table per call), so the argument array stays on
+// the stack.
+func TestSyscallDispatchAllocs(t *testing.T) {
+	p, k := buildLinuxProc(t, func(b *asm.Builder) {
+		b.Func("main").Entry("main").Halt().EndFunc()
+	})
+	th, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	getpid := func() {
+		th.SetReg(0, SysGetpid)
+		k.Syscall(p, th)
+	}
+	getpid()
+	if got := th.Reg(0); got != 1 {
+		t.Fatalf("getpid = %d, want 1", got)
+	}
+	spec := testing.AllocsPerRun(100, func() { SpecFor(SysGetpid) })
+	if n := testing.AllocsPerRun(100, getpid); n != spec {
+		t.Errorf("allocations per getpid dispatch = %v, want %v (SpecFor's alone)", n, spec)
 	}
 }

@@ -284,9 +284,6 @@ func (cc *ClientConn) Close() {
 	cc.k.wakeAll()
 }
 
-// ClosedByServer reports whether the server closed this connection.
-func (cc *ClientConn) ClosedByServer() bool { return cc.c.closedByServer }
-
 // Label returns the taint label the kernel assigns to this connection's
 // bytes.
 func (cc *ClientConn) Label() uint8 { return cc.c.label }

@@ -63,7 +63,7 @@ func TestNilCollectorAndStageAreNoOps(t *testing.T) {
 	var c *Collector
 	c.Add(CtrFaults, 1)
 	c.SetProgress(func(StageEvent) {})
-	c.AddSink(NewMemorySink())
+	c.AddSink(NewRegistry())
 	st := c.StartStage("x", 1)
 	st.JobDone()
 	st.ShardTasks([]int{1})
@@ -97,8 +97,22 @@ func TestProgressEventSequence(t *testing.T) {
 	}
 }
 
+// memSink keeps every event and flushed run; one collector serializes its
+// deliveries.
+type memSink struct {
+	events []StageEvent
+	runs   []*RunStats
+}
+
+func (m *memSink) Event(ev StageEvent) { m.events = append(m.events, ev) }
+
+func (m *memSink) Flush(stats *RunStats) error {
+	m.runs = append(m.runs, stats)
+	return nil
+}
+
 func TestMemorySink(t *testing.T) {
-	mem := NewMemorySink()
+	mem := &memSink{}
 	c := NewCollector("api", "iexplore", 2)
 	c.AddSink(mem)
 	c.Add(CtrProbes, 44)
@@ -109,10 +123,10 @@ func TestMemorySink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if evs := mem.Events(); len(evs) != 3 {
+	if evs := mem.events; len(evs) != 3 {
 		t.Errorf("memory sink events = %d, want 3 (begin/progress/end)", len(evs))
 	}
-	runs := mem.Runs()
+	runs := mem.runs
 	if len(runs) != 1 || runs[0].Counter(CtrProbes) != 44 {
 		t.Errorf("memory sink runs = %+v", runs)
 	}

@@ -7,9 +7,8 @@ package metrics
 //
 // Ring is not synchronized; owners guard it with their own mutex.
 type Ring[T any] struct {
-	cap     int
-	items   []T
-	evicted uint64
+	cap   int
+	items []T
 }
 
 // NewRing returns a ring retaining at most capacity elements. A capacity
@@ -25,13 +24,11 @@ func NewRing[T any](capacity int) *Ring[T] {
 // is full. The boolean reports whether an eviction happened.
 func (r *Ring[T]) Push(v T) (evicted T, ok bool) {
 	if r.cap == 0 {
-		r.evicted++
 		return v, true
 	}
 	if len(r.items) == r.cap {
 		evicted = r.items[0]
 		ok = true
-		r.evicted++
 		copy(r.items, r.items[1:])
 		r.items[len(r.items)-1] = v
 		return evicted, ok
@@ -47,10 +44,3 @@ func (r *Ring[T]) Items() []T {
 
 // Len returns the number of retained elements.
 func (r *Ring[T]) Len() int { return len(r.items) }
-
-// Cap returns the ring's bound.
-func (r *Ring[T]) Cap() int { return r.cap }
-
-// Evicted returns how many elements have been pushed out over the ring's
-// lifetime.
-func (r *Ring[T]) Evicted() uint64 { return r.evicted }

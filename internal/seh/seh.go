@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"crashresist/internal/bin"
-	"crashresist/internal/vm"
 )
 
 // Handler is one guarded code region (scope-table entry) in a module.
@@ -25,15 +24,6 @@ type Handler struct {
 
 // IsCatchAll reports whether the handler catches all exception classes.
 func (h Handler) IsCatchAll() bool { return h.Entry.IsCatchAll() }
-
-// FilterKey identifies a filter function (or the catch-all marker) within a
-// module.
-type FilterKey struct {
-	Module string
-	// Offset is the filter's flat offset; bin.FilterCatchAll for
-	// catch-all entries.
-	Offset uint32
-}
 
 // ModuleInventory is the extraction result for one module.
 type ModuleInventory struct {
@@ -69,16 +59,6 @@ func Extract(mod *bin.Module) ModuleInventory {
 	}
 	sort.Slice(inv.Filters, func(i, j int) bool { return inv.Filters[i] < inv.Filters[j] })
 	return inv
-}
-
-// Inventory extracts every loaded module of a process, in load order.
-func Inventory(p *vm.Process) []ModuleInventory {
-	mods := p.Modules()
-	out := make([]ModuleInventory, 0, len(mods))
-	for _, m := range mods {
-		out = append(out, Extract(m))
-	}
-	return out
 }
 
 // Totals aggregates handler/filter counts across inventories.

@@ -102,7 +102,10 @@ func TestInventoryAndTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	invs := Inventory(p)
+	var invs []ModuleInventory
+	for _, m := range p.Modules() {
+		invs = append(invs, Extract(m))
+	}
 	if len(invs) != 2 {
 		t.Fatalf("inventories = %d", len(invs))
 	}

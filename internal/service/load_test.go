@@ -82,7 +82,7 @@ func TestLoadHarness(t *testing.T) {
 		Retain:         jobs + 8,
 		Cache:          cache,
 		Registry:       crashresist.NewMetricsRegistry(),
-		RecordDispatch: true,
+		recordDispatch: true,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

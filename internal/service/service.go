@@ -46,9 +46,10 @@ type Config struct {
 	// Runner overrides the analysis executor (tests). Default
 	// crashresist.Run.
 	Runner Runner
-	// RecordDispatch retains the scheduler's dispatch log for fairness
-	// assertions (tests); see DispatchLog.
-	RecordDispatch bool
+
+	// recordDispatch retains the scheduler's dispatch log for the
+	// fairness tests.
+	recordDispatch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -70,10 +71,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Dispatch is one scheduler decision, recorded when Config.RecordDispatch
+// dispatch is one scheduler decision, recorded when Config.recordDispatch
 // is on: which tenant's job started, and which tenants had jobs queued at
 // that moment (chosen tenant included). Fairness tests replay the log.
-type Dispatch struct {
+type dispatch struct {
 	Tenant string
 	JobID  string
 	// Pending lists the tenants with at least one queued job at pick
@@ -197,7 +198,7 @@ type Service struct {
 	seq     uint64
 	retired *metrics.Ring[*job] // terminal jobs, oldest evicted to 404
 
-	dispatches []Dispatch
+	dispatches []dispatch
 
 	met *svcMetrics
 
@@ -349,8 +350,8 @@ func (s *Service) dispatchLoop() {
 		s.running++
 		j.state = StateRunning
 		j.started = time.Now()
-		if s.cfg.RecordDispatch {
-			s.dispatches = append(s.dispatches, Dispatch{
+		if s.cfg.recordDispatch {
+			s.dispatches = append(s.dispatches, dispatch{
 				Tenant:  j.tenant,
 				JobID:   j.id,
 				Pending: s.pendingTenantsLocked(j.tenant),
@@ -586,13 +587,6 @@ func (s *Service) List(tenant string, state State) []JobView {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID > out[k].ID })
 	return out
-}
-
-// DispatchLog returns the recorded scheduler decisions (RecordDispatch).
-func (s *Service) DispatchLog() []Dispatch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Dispatch(nil), s.dispatches...)
 }
 
 // Counts returns the current queued and running job totals.

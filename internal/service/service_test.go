@@ -55,7 +55,7 @@ func TestRoundRobinFairness(t *testing.T) {
 				MaxQueue:       4096,
 				Retain:         4096,
 				Runner:         blockingRunner(nil, release),
-				RecordDispatch: true,
+				recordDispatch: true,
 			})
 			defer s.Close()
 

@@ -37,11 +37,6 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
 // Typed errors the HTTP layer maps to status codes.
 var (
 	// ErrQueueFull rejects a submission once the queue holds MaxQueue

@@ -17,7 +17,6 @@ package solver
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Op enumerates expression operators.
@@ -174,17 +173,6 @@ func Un(op Op, a *Expr) *Expr {
 		}
 	}
 	return &Expr{Op: op, A: a}
-}
-
-// Ite builds cond ? then : else, folding constant conditions.
-func Ite(cond, then, els *Expr) *Expr {
-	if cond.Op == OpConst {
-		if cond.V != 0 {
-			return then
-		}
-		return els
-	}
-	return &Expr{Op: OpIte, A: cond, B: then, C: els}
 }
 
 // IsConst reports whether e is a constant, returning its value.
@@ -401,24 +389,6 @@ func Solve(constraints []*Expr) (map[string]uint64, Result) {
 	return nil, Unsat
 }
 
-// SatisfiableWith is a convenience wrapper: can the constraints hold with
-// the given fixed bindings? The bindings are added as equality constraints.
-func SatisfiableWith(constraints []*Expr, fixed map[string]uint64) Result {
-	all := make([]*Expr, 0, len(constraints)+len(fixed))
-	all = append(all, constraints...)
-	// Sorted for determinism.
-	names := make([]string, 0, len(fixed))
-	for n := range fixed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		all = append(all, Bin(OpEq, Sym(n), Const(fixed[n])))
-	}
-	_, res := Solve(all)
-	return res
-}
-
 func enumerate(constraints []*Expr, syms []string, candidates []uint64, model map[string]uint64, i int) bool {
 	if i == len(syms) {
 		for _, c := range constraints {
@@ -546,21 +516,4 @@ func maskedEqParts(e *Expr) (m, c uint64, ok bool) {
 		return mv, cv & mv, true
 	}
 	return 0, 0, false
-}
-
-// FormatModel renders a model deterministically for reports.
-func FormatModel(model map[string]uint64) string {
-	if len(model) == 0 {
-		return "{}"
-	}
-	names := make([]string, 0, len(model))
-	for n := range model {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s=%#x", n, model[n])
-	}
-	return "{" + strings.Join(parts, " ") + "}"
 }

@@ -124,7 +124,7 @@ func TestSolveSimpleEquality(t *testing.T) {
 		t.Fatalf("res = %v", res)
 	}
 	if model["code"] != 0xC0000005 {
-		t.Errorf("model = %v", FormatModel(model))
+		t.Errorf("model = %v", model)
 	}
 }
 
@@ -166,7 +166,7 @@ func TestSolveMaskTest(t *testing.T) {
 		t.Fatalf("res = %v", res)
 	}
 	if model["code"]&0xF0000000 != 0xC0000000 {
-		t.Errorf("model = %v", FormatModel(model))
+		t.Errorf("model = %v", model)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestSolveMultiSymbol(t *testing.T) {
 		t.Fatalf("res = %v", res)
 	}
 	if model["a"]+model["b"] != 2 {
-		t.Errorf("model = %v", FormatModel(model))
+		t.Errorf("model = %v", model)
 	}
 }
 
@@ -215,10 +215,14 @@ func TestSatisfiableWith(t *testing.T) {
 	// fixed code = access violation.
 	code := Sym("code")
 	accept := Bin(OpEq, Bin(OpAnd, code, Const(0xFFFFFFFF)), Const(0xC0000005))
-	if res := SatisfiableWith([]*Expr{accept}, map[string]uint64{"code": 0xC0000005}); res != Sat {
+	fixed := func(v uint64) Result {
+		_, res := Solve([]*Expr{accept, Bin(OpEq, code, Const(v))})
+		return res
+	}
+	if res := fixed(0xC0000005); res != Sat {
 		t.Errorf("res = %v", res)
 	}
-	if res := SatisfiableWith([]*Expr{accept}, map[string]uint64{"code": 0xC0000094}); res != Unsat {
+	if res := fixed(0xC0000094); res != Unsat {
 		t.Errorf("res = %v", res)
 	}
 }
@@ -290,16 +294,6 @@ func TestQuickEvalDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFormatModel(t *testing.T) {
-	if got := FormatModel(nil); got != "{}" {
-		t.Errorf("empty model = %q", got)
-	}
-	got := FormatModel(map[string]uint64{"b": 2, "a": 1})
-	if got != "{a=0x1 b=0x2}" {
-		t.Errorf("model = %q", got)
 	}
 }
 

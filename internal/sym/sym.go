@@ -632,12 +632,3 @@ func condExpr(op isa.Op, c cmpState) *solver.Expr {
 		return solver.Const(0)
 	}
 }
-
-// AnalyzeScope is a convenience: catch-all scopes accept trivially; others
-// are analyzed through their filter function.
-func (e *Executor) AnalyzeScope(mod *bin.Module, scope bin.ScopeEntry) Report {
-	if scope.IsCatchAll() {
-		return Report{Verdict: VerdictAccepts}
-	}
-	return e.AnalyzeFilter(mod.VA(scope.Filter))
-}

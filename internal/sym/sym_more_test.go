@@ -269,7 +269,8 @@ func TestFilterPushPopRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAnalyzeScopeWithFilter covers AnalyzeScope's non-catch-all branch.
+// TestAnalyzeScopeWithFilter analyzes a guarded scope through the filter
+// its scope-table entry names.
 func TestAnalyzeScopeWithFilter(t *testing.T) {
 	p, _ := loadFilters(t, func(b *asm.Builder) {
 		b.Func("g").Label("g0").Nop().Label("g1").Ret().EndFunc()
@@ -277,7 +278,7 @@ func TestAnalyzeScopeWithFilter(t *testing.T) {
 		b.Guard("g", "g0", "g1", "flt", "g1")
 	})
 	mod := p.Modules()[0]
-	rep := NewExecutor(p).AnalyzeScope(mod, mod.Image.Scopes[0])
+	rep := NewExecutor(p).AnalyzeFilter(mod.VA(mod.Image.Scopes[0].Filter))
 	if rep.Verdict != VerdictAccepts {
 		t.Errorf("verdict = %v, want accepts", rep.Verdict)
 	}

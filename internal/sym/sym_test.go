@@ -407,19 +407,6 @@ func TestFilterManyBranches(t *testing.T) {
 	}
 }
 
-func TestAnalyzeScopeCatchAll(t *testing.T) {
-	p, _ := loadFilters(t, func(b *asm.Builder) {
-		b.Func("g").Label("g0").Nop().Label("g1").Ret().EndFunc()
-		b.Guard("g", "g0", "g1", asm.CatchAll, "g1")
-	})
-	_ = p
-	mod := p.Modules()[0]
-	rep := NewExecutor(p).AnalyzeScope(mod, mod.Image.Scopes[0])
-	if rep.Verdict != VerdictAccepts {
-		t.Errorf("catch-all scope verdict = %v", rep.Verdict)
-	}
-}
-
 func TestVerdictString(t *testing.T) {
 	if VerdictAccepts.String() != "accepts-av" || VerdictRejects.String() != "rejects-av" ||
 		VerdictUnknown.String() != "unknown" || Verdict(9).String() != "verdict?" {

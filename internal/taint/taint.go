@@ -61,12 +61,6 @@ func New() *Engine {
 // Attach installs the engine as the process's data-flow sink.
 func (e *Engine) Attach(p *vm.Process) { p.Flow = e }
 
-// Reset clears all taint and provenance state.
-func (e *Engine) Reset() {
-	e.threads = make(map[int]*threadState)
-	e.shadow = make(map[uint64]*[mem.PageSize]uint64)
-}
-
 func (e *Engine) thread(tid int) *threadState {
 	ts, ok := e.threads[tid]
 	if !ok {
@@ -159,10 +153,10 @@ func (e *Engine) ClearMem(addr uint64, size int) {
 
 // MarkMem implements vm.DataFlow: taints [addr, addr+size) with the label.
 func (e *Engine) MarkMem(label uint8, addr uint64, size int) {
-	if label == 0 || label > MaxLabel {
+	bit := LabelMask(label)
+	if bit == 0 {
 		return
 	}
-	bit := uint64(1) << label
 	for i := 0; i < size; i++ {
 		sb := e.shadowByte(addr+uint64(i), true)
 		*sb |= bit
@@ -207,9 +201,4 @@ func LabelMask(label uint8) uint64 {
 		return 0
 	}
 	return uint64(1) << label
-}
-
-// HasLabel reports whether the mask contains the label.
-func HasLabel(mask uint64, label uint8) bool {
-	return mask&LabelMask(label) != 0
 }

@@ -105,9 +105,7 @@ func TestIEBrowserBrowse(t *testing.T) {
 	}
 
 	rec := trace.NewRecorder()
-	rec.EnableAPIHarvest()
 	rec.EnableCoverage()
-	rec.AddContextModule("jscript9.dll")
 	rec.Attach(env.Proc)
 
 	if err := env.Browse(); err != nil {
@@ -136,45 +134,6 @@ func TestIEBrowserBrowse(t *testing.T) {
 	}
 	if total != uint64(br.Params.TriggerTotal) {
 		t.Errorf("trigger total = %d, want %d", total, br.Params.TriggerTotal)
-	}
-
-	// API funnel raw material: the JS-context APIs must be tagged.
-	jsTagged := 0
-	for _, js := range br.JSAPIs {
-		d, ok := env.Reg.Lookup(js.API)
-		if !ok {
-			t.Fatalf("missing API %s", js.API)
-		}
-		st, ok := rec.APIs()[d.ID]
-		if !ok {
-			t.Errorf("JS API %s never called", js.API)
-			continue
-		}
-		if st.FromContext {
-			jsTagged++
-		}
-	}
-	if jsTagged != len(br.JSAPIs) {
-		t.Errorf("JS-context tagged = %d, want %d", jsTagged, len(br.JSAPIs))
-	}
-
-	// Non-JS path APIs must be called but not tagged.
-	for _, api := range br.PathAPIs {
-		d, _ := env.Reg.Lookup(api)
-		st, ok := rec.APIs()[d.ID]
-		if !ok {
-			t.Errorf("path API %s never called", api)
-			continue
-		}
-		isJS := false
-		for _, js := range br.JSAPIs {
-			if js.API == api {
-				isJS = true
-			}
-		}
-		if !isJS && st.FromContext {
-			t.Errorf("non-JS API %s wrongly tagged as JS context", api)
-		}
 	}
 }
 

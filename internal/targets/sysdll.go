@@ -83,8 +83,8 @@ type CorpusParams struct {
 
 	// GenDLLs appends that many generated DLLs (generate.go) after the
 	// hand-built population, each derived solely from (GenSeed, index) so
-	// the generated images are byte-identical to a standalone
-	// GenDLLCorpus(GenSeed, GenDLLs) run. Zero (the paper and small
+	// the generated images are byte-identical to a standalone build of
+	// the same indices (the tests' GenDLLCorpus reference). Zero (the paper and small
 	// settings) leaves the corpus exactly as before, keeping every golden
 	// table byte-identical.
 	GenSeed int64

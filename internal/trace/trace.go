@@ -3,15 +3,14 @@
 // observes a process run and produces the artifacts the Windows-side
 // analyses consume:
 //
-//   - API call harvesting: which imported APIs were invoked, from which call
-//     sites, and how often (§V-B "logged all calls to target API functions");
-//   - context tagging: whether a call's stack passes through a designated
-//     module set, e.g. the JavaScript engine ("triggered from a JavaScript
-//     context");
 //   - guarded-region coverage: which SEH scope-table ranges were actually
 //     executed (Table II's "on execution path" column);
 //   - exception events with virtual timestamps, feeding the §VII-C
 //     fault-rate anomaly detector.
+//
+// The §V-B API harvest and its JavaScript-context tagging live in the API
+// pipeline's tracer (internal/discover), which embeds a Recorder and also
+// needs each call's taint provenance.
 package trace
 
 import (
@@ -21,23 +20,6 @@ import (
 	"crashresist/internal/isa"
 	"crashresist/internal/vm"
 )
-
-// APISite is one call site of an API function.
-type APISite struct {
-	PC     uint64
-	Module string
-	Count  uint64
-}
-
-// APIStats aggregates observations of one API function.
-type APIStats struct {
-	ID    uint32
-	Count uint64
-	Sites []APISite
-	// FromContext reports whether at least one invocation had a call
-	// stack passing through a context module (e.g. the JS engine).
-	FromContext bool
-}
 
 // ExcEvent is one observed exception.
 type ExcEvent struct {
@@ -61,11 +43,6 @@ type ScopeKey struct {
 // off by default to keep per-instruction overhead down.
 type Recorder struct {
 	proc *vm.Process
-
-	// API harvesting.
-	harvestAPIs bool
-	apis        map[uint32]*APIStats
-	contextMods map[string]bool
 
 	// Guarded-region coverage.
 	coverage  bool
@@ -92,11 +69,7 @@ var _ vm.Tracer = (*Recorder)(nil)
 
 // NewRecorder creates an inactive recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		apis:        make(map[uint32]*APIStats),
-		contextMods: make(map[string]bool),
-		scopeHits:   make(map[ScopeKey]uint64),
-	}
+	return &Recorder{scopeHits: make(map[ScopeKey]uint64)}
 }
 
 // Attach installs the recorder as the process tracer. Call after all images
@@ -107,40 +80,14 @@ func (r *Recorder) Attach(p *vm.Process) {
 	r.buildCoverageIndex()
 }
 
-// EnableAPIHarvest turns on API call logging.
-func (r *Recorder) EnableAPIHarvest() { r.harvestAPIs = true }
-
 // EnableCoverage turns on guarded-region coverage (per-instruction cost).
 func (r *Recorder) EnableCoverage() { r.coverage = true }
 
 // EnableExceptionLog turns on exception recording.
 func (r *Recorder) EnableExceptionLog() { r.recordExceptions = true }
 
-// AddContextModule marks a module as a calling-context tag source (e.g. the
-// JS engine DLL). API calls whose stack includes a frame in this module are
-// flagged FromContext.
-func (r *Recorder) AddContextModule(name string) { r.contextMods[name] = true }
-
-// APIs returns harvested API stats keyed by API id.
-func (r *Recorder) APIs() map[uint32]*APIStats { return r.apis }
-
 // ScopeHits returns execution counts per scope-table entry.
 func (r *Recorder) ScopeHits() map[ScopeKey]uint64 { return r.scopeHits }
-
-// HitScopes returns the keys of scope entries seen on the execution path.
-func (r *Recorder) HitScopes() []ScopeKey {
-	out := make([]ScopeKey, 0, len(r.scopeHits))
-	for k := range r.scopeHits {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Module != out[j].Module {
-			return out[i].Module < out[j].Module
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
-}
 
 // Exceptions returns the recorded exception events.
 func (r *Recorder) Exceptions() []ExcEvent {
@@ -166,40 +113,8 @@ func (r *Recorder) OnCall(*vm.Thread, uint64, uint64) {}
 // OnRet implements vm.Tracer.
 func (r *Recorder) OnRet(*vm.Thread, uint64) {}
 
-// OnAPICall implements vm.Tracer: API harvesting + context tagging.
-func (r *Recorder) OnAPICall(t *vm.Thread, callPC uint64, id uint32) {
-	if !r.harvestAPIs {
-		return
-	}
-	st, ok := r.apis[id]
-	if !ok {
-		st = &APIStats{ID: id}
-		r.apis[id] = st
-	}
-	st.Count++
-
-	modName := ""
-	if m, ok := r.proc.FindModule(callPC); ok {
-		modName = m.Image.Name
-	}
-	found := false
-	for i := range st.Sites {
-		if st.Sites[i].PC == callPC {
-			st.Sites[i].Count++
-			found = true
-			break
-		}
-	}
-	if !found {
-		st.Sites = append(st.Sites, APISite{PC: callPC, Module: modName, Count: 1})
-	}
-
-	if !st.FromContext && len(r.contextMods) > 0 {
-		if r.stackInContext(t) {
-			st.FromContext = true
-		}
-	}
-}
+// OnAPICall implements vm.Tracer.
+func (r *Recorder) OnAPICall(*vm.Thread, uint64, uint32) {}
 
 // OnException implements vm.Tracer.
 func (r *Recorder) OnException(t *vm.Thread, exc vm.Exception) {
@@ -230,17 +145,6 @@ func (r *Recorder) OnExceptionHandled(t *vm.Thread, exc vm.Exception, handlerPC 
 			return
 		}
 	}
-}
-
-// stackInContext reports whether any shadow frame of t lies inside a context
-// module.
-func (r *Recorder) stackInContext(t *vm.Thread) bool {
-	for _, f := range t.Frames() {
-		if m, ok := r.proc.FindModule(f.FuncEntry); ok && r.contextMods[m.Image.Name] {
-			return true
-		}
-	}
-	return false
 }
 
 func (r *Recorder) buildCoverageIndex() {

@@ -10,107 +10,6 @@ import (
 	"crashresist/internal/vm"
 )
 
-// stubAPI resolves any symbol to a sequential id and returns 0 from calls.
-type stubAPI struct {
-	ids   map[string]uint32
-	calls []uint32
-}
-
-func newStubAPI() *stubAPI { return &stubAPI{ids: make(map[string]uint32)} }
-
-func (s *stubAPI) Resolve(symbol string) (uint32, error) {
-	if id, ok := s.ids[symbol]; ok {
-		return id, nil
-	}
-	id := uint32(len(s.ids) + 1)
-	s.ids[symbol] = id
-	return id, nil
-}
-
-func (s *stubAPI) Call(p *vm.Process, t *vm.Thread, id uint32) *vm.Exception {
-	s.calls = append(s.calls, id)
-	t.SetReg(0, 0)
-	return nil
-}
-
-func TestAPIHarvestAndContextTag(t *testing.T) {
-	// jsengine.dll calls api "TargetFn"; main.exe calls api "OtherFn"
-	// directly (no JS context).
-	js := asm.NewBuilder("jsengine.dll", bin.KindLibrary)
-	js.Func("invoke").
-		CallImport("", "TargetFn").
-		Ret().
-		EndFunc()
-	js.Export("invoke", "invoke")
-	jsImg, err := js.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	main := asm.NewBuilder("main.exe", bin.KindExecutable)
-	main.Func("main").Entry("main").
-		CallImport("", "OtherFn").
-		CallImport("jsengine.dll", "invoke").
-		CallImport("jsengine.dll", "invoke").
-		Halt().
-		EndFunc()
-	mainImg, err := main.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := vm.NewProcess(vm.Config{Platform: vm.PlatformWindows, Seed: 4})
-	api := newStubAPI()
-	p.API = api
-	if _, err := p.LoadImage(jsImg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.LoadImage(mainImg); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := NewRecorder()
-	rec.EnableAPIHarvest()
-	rec.AddContextModule("jsengine.dll")
-	rec.Attach(p)
-
-	if _, err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p.RunUntilIdle(1_000_000)
-	if p.State != vm.ProcExited {
-		t.Fatalf("state = %v crash=%v", p.State, p.Crash)
-	}
-
-	targetID := api.ids["TargetFn"]
-	otherID := api.ids["OtherFn"]
-
-	ts, ok := rec.APIs()[targetID]
-	if !ok {
-		t.Fatal("TargetFn not harvested")
-	}
-	if ts.Count != 2 {
-		t.Errorf("TargetFn count = %d, want 2", ts.Count)
-	}
-	if len(ts.Sites) != 1 || ts.Sites[0].Module != "jsengine.dll" || ts.Sites[0].Count != 2 {
-		t.Errorf("TargetFn sites = %+v", ts.Sites)
-	}
-	if !ts.FromContext {
-		t.Error("TargetFn should be tagged as called from JS context")
-	}
-
-	os, ok := rec.APIs()[otherID]
-	if !ok {
-		t.Fatal("OtherFn not harvested")
-	}
-	if os.FromContext {
-		t.Error("OtherFn must not be tagged as JS context")
-	}
-	if os.Sites[0].Module != "main.exe" {
-		t.Errorf("OtherFn site module = %q", os.Sites[0].Module)
-	}
-}
-
 func TestCoverageRecordsGuardedRegions(t *testing.T) {
 	b := asm.NewBuilder("app.exe", bin.KindExecutable)
 	b.Func("main").Entry("main").
@@ -149,15 +48,12 @@ func TestCoverageRecordsGuardedRegions(t *testing.T) {
 	}
 	p.RunUntilIdle(1_000_000)
 
-	hits := rec.HitScopes()
+	hits := rec.ScopeHits()
 	if len(hits) != 1 {
 		t.Fatalf("hit scopes = %v, want exactly the executed guard", hits)
 	}
-	if hits[0].Module != "app.exe" || hits[0].Index != 0 {
-		t.Errorf("hit = %+v", hits[0])
-	}
-	if rec.ScopeHits()[hits[0]] == 0 {
-		t.Error("hit count zero")
+	if hits[ScopeKey{Module: "app.exe", Index: 0}] == 0 {
+		t.Errorf("hits = %v, want app.exe scope 0", hits)
 	}
 }
 
@@ -276,7 +172,7 @@ func TestRecorderNoopsWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.RunUntilIdle(1_000_000)
-	if len(rec.APIs()) != 0 || len(rec.HitScopes()) != 0 || len(rec.Exceptions()) != 0 {
+	if len(rec.ScopeHits()) != 0 || len(rec.Exceptions()) != 0 {
 		t.Error("disabled recorder collected data")
 	}
 }

@@ -276,13 +276,6 @@ func (p *Process) Start(args ...uint64) (*Thread, error) {
 	return nil, fmt.Errorf("start: no executable module loaded")
 }
 
-// Threads returns all threads, including finished ones.
-func (p *Process) Threads() []*Thread {
-	out := make([]*Thread, len(p.threads))
-	copy(out, p.threads)
-	return out
-}
-
 // Thread returns the thread with the given ID.
 func (p *Process) Thread(id int) (*Thread, bool) {
 	for _, t := range p.threads {

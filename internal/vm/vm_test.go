@@ -1067,7 +1067,7 @@ func TestCallImportBadSlot(t *testing.T) {
 		}
 		if ins.Op == isa.OpCallI {
 			ins.Disp = 7
-			patched, err := isa.EncodeAll([]isa.Instruction{ins})
+			patched, err := isa.Encode(nil, ins)
 			if err != nil {
 				t.Fatal(err)
 			}

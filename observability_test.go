@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"crashresist/internal/metrics"
 )
 
 func TestErrorSentinels(t *testing.T) {
@@ -125,12 +123,26 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	roundTrip("RunStats", sysRep.Stats, &RunStats{})
 }
 
+// memSink is a MetricSink that keeps every event and flushed run; one run's
+// collector serializes its deliveries.
+type memSink struct {
+	events []StageEvent
+	runs   []*RunStats
+}
+
+func (m *memSink) Event(ev StageEvent) { m.events = append(m.events, ev) }
+
+func (m *memSink) Flush(stats *RunStats) error {
+	m.runs = append(m.runs, stats)
+	return nil
+}
+
 func TestProgressEventsAndSinks(t *testing.T) {
 	srv, err := Server("nginx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := metrics.NewMemorySink()
+	sink := &memSink{}
 	var events []StageEvent
 	rep, err := runReport[*SyscallReport](Request{
 		Server: srv, Seed: 11,
@@ -166,14 +178,14 @@ func TestProgressEventsAndSinks(t *testing.T) {
 		}
 	}
 
-	runs := sink.Runs()
+	runs := sink.runs
 	if len(runs) != 1 {
 		t.Fatalf("sink flushed %d runs, want 1", len(runs))
 	}
 	if !reflect.DeepEqual(runs[0], rep.Stats) {
 		t.Errorf("sink snapshot differs from report stats")
 	}
-	if len(sink.Events()) == 0 {
+	if len(sink.events) == 0 {
 		t.Error("sink saw no stage events")
 	}
 }
